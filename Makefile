@@ -9,7 +9,7 @@ GO ?= go
 # Bench comparison inputs for bench-compare (override on the command line).
 # BASE is the committed current-round baseline; NEW defaults to a scratch
 # record so `make bench && make bench-compare` never dirties the baselines.
-BASE ?= BENCH_2.json
+BASE ?= BENCH_3.json
 NEW  ?= bench-new.json
 
 # Coverage floor (percent of statements) for the campaign runtime and the
@@ -52,7 +52,7 @@ race:
 # the race detector's instrumented allocator, so those tests skip themselves
 # there and must also run uninstrumented).
 substrate:
-	$(GO) test -race -run 'TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestWheel' ./internal/sim/
+	$(GO) test -race -run 'TestWheelMatchesReferenceEngine|TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary' ./internal/sim/
 	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree' ./internal/sim/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —

@@ -333,7 +333,11 @@ func BenchmarkKernelContextSwitch(b *testing.B) {
 
 // BenchmarkEngineScheduleCancel measures the schedule/cancel churn path: a
 // rotating window of pending timers, as armed and disarmed by every device
-// model and wait timeout.
+// model and wait timeout. Its 64 pending events are 6-8× the deepest queue
+// the simulated machines reach (8-9 in a Win98 or NT4 machine-minute, 10
+// with the latency tool attached, 7 under the NIC storm), so it prices a
+// deeper heap than any real run carries; BenchmarkMachineMinute is the
+// realistic mix.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nop := func(sim.Time) {}

@@ -263,12 +263,26 @@ func TestCloseDrainsRunningCellsThroughStore(t *testing.T) {
 	reg := metrics.NewRegistry()
 	st.Instrument(reg)
 	exec, release := blockingExec()
-	s := New(Options{Jobs: 1, Metrics: reg, Store: st, Execute: exec})
+	// The campaign reports running before its first cell reaches the
+	// executor; Close must come after, or it cancels a cell that never ran.
+	entered := make(chan struct{}, 1)
+	enter := func(cfg core.RunConfig) *core.Result {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		return exec(cfg)
+	}
+	s := New(Options{Jobs: 1, Metrics: reg, Store: st, Execute: enter})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	id := decodeStatus(t, postSpec(t, ts, specN(5, 2))).ID
-	waitState(t, ts, id, api.StateRunning)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no cell reached the executor")
+	}
 
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()

@@ -1,26 +1,21 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a discrete-event simulation driver: a virtual clock plus a
 // cancellable event queue. Events scheduled for the same instant fire in
 // FIFO order of scheduling, which keeps runs deterministic.
 //
-// The queue is a hierarchical timing wheel (wheel.go) backed by a 4-ary
-// min-heap overflow area for the far future (event.go): the dense periodic
-// timers that dominate the simulated machines — PIT ticks, sound DMA
-// periods, modem pacing deadlines, scheduler quanta — insert, cancel and
-// cascade in O(1), and all events at one instant dispatch in a single
-// batched pass over their wheel slot.
+// The queue is a 4-ary min-heap over (when, seq), see event.go. The
+// simulated machines keep only a handful of events pending — at most ten
+// in a Win98 or NT4 measurement cell — so the heap is at most two levels
+// below its root and every schedule, cancel and dispatch is a few
+// comparisons.
 //
 // The engine allocates nothing in steady state: fired and cancelled Event
-// records are recycled through a free list, and both queue structures
-// thread through the records themselves (intrusive slot links, reused heap
-// slice), so a long-running simulation settles into a fixed working set no
-// matter how many events it dispatches. The price of pooling is a handle
+// records are recycled through a free list and the heap slice is reused,
+// so a long-running simulation settles into a fixed working set no matter
+// how many events it dispatches. The price of pooling is a handle
 // discipline — see Event.
 //
 // Engine is not safe for concurrent use; the whole simulator is
@@ -30,41 +25,21 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	nfired uint64
-	npend  int    // events pending across wheel + overflow
-	free   *Event // dead records awaiting reuse, chained through next
+	free   *Event   // dead records awaiting reuse, chained through next
+	queue  []*Event // pending events, a 4-ary min-heap (event.go)
 	rng    *RNG
 
-	// Timing wheel: slot lists (head.prev = tail) plus occupancy bitmaps,
-	// see wheel.go. overflow is the far-future 4-ary min-heap, see event.go.
-	wheel    [wheelLevels][wheelSlots]*Event
-	occupied [wheelLevels][wheelWords]uint64
-	lcount   [wheelLevels]int32 // events linked per level (bitmap-scan skips)
-	overflow []*Event
-
-	// Exact-minimum cache: when minOK, minWhen is the exact timestamp of the
-	// earliest pending event (maxTime when the queue is empty), and the
-	// dispatch path can jump the clock straight to it without a landmark
-	// scan. The cache goes stale (minOK=false) when the minimum is removed
-	// with other events still pending; it revalidates whenever the queue
-	// drains or a schedule lands on an empty queue.
-	minWhen Time
-	minOK   bool
-
-	// migrateAt caches the clock time after which the overflow minimum
-	// comes within the wheel horizon (maxTime when the heap is empty), so
-	// the advance fast path skips advanceSlow without touching the heap —
-	// a machine with even one long-lived far-future event would otherwise
-	// pay a heap probe on every single clock advance.
-	migrateAt Time
+	// qbuf backs queue until it outgrows 16 events, more than any
+	// simulated machine keeps pending, so an engine costs one allocation.
+	qbuf [16]*Event
 }
-
-// ErrHalted is returned by Run when Halt was called from inside an event.
-var ErrHalted = errors.New("sim: engine halted")
 
 // NewEngine returns an engine at time zero with a deterministic RNG seeded
 // from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed), minWhen: maxTime, minOK: true, migrateAt: maxTime}
+	e := &Engine{rng: NewRNG(seed)}
+	e.queue = e.qbuf[:0]
+	return e
 }
 
 // Now returns the current virtual time.
@@ -79,7 +54,7 @@ func (e *Engine) RNG() *RNG { return e.rng }
 func (e *Engine) Fired() uint64 { return e.nfired }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.npend }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // alloc returns a recycled Event record, or a fresh one if the pool is dry.
 // The pool is an intrusive LIFO chained through the records' own next
@@ -91,7 +66,7 @@ func (e *Engine) alloc() *Event {
 		ev.next = nil
 		return ev
 	}
-	return &Event{index: -1, level: levelNone}
+	return &Event{index: -1}
 }
 
 // release returns a dead record to the pool. The callback is dropped so the
@@ -121,33 +96,7 @@ func (e *Engine) At(t Time, label string, fn func(Time)) *Event {
 	ev.label = label
 	ev.state = statePending
 	e.seq++
-	e.npend++
-	if e.npend == 1 {
-		e.minWhen, e.minOK = t, true // empty queue: t is the exact minimum
-	} else if e.minOK && t < e.minWhen {
-		e.minWhen = t
-	}
-	if Cycles(t-e.now) < wheelSlots {
-		// Near-future fast path, by far the common case. A fresh event
-		// carries the largest seq yet issued, so the ordered level-0 insert
-		// of wheelLink reduces to a tail append — spelled out here to keep
-		// the schedule→dispatch cycle free of further calls.
-		s := int(uint64(t) & wheelMask)
-		ev.level = 0
-		e.lcount[0]++
-		if h := e.wheel[0][s]; h == nil {
-			e.wheel[0][s] = ev
-			ev.prev = ev // single element: it is its own tail
-			e.occupied[0][s>>6] |= 1 << (s & 63)
-		} else {
-			tl := h.prev
-			tl.next = ev
-			ev.prev = tl
-			h.prev = ev
-		}
-	} else {
-		e.place(ev)
-	}
+	e.heapPush(ev)
 	return ev
 }
 
@@ -161,20 +110,12 @@ func (e *Engine) After(d Cycles, label string, fn func(Time)) *Event {
 
 // Cancel removes a pending event from the queue and recycles its record;
 // the caller must drop the handle. Cancelling an event that already fired
-// or was already cancelled is a no-op and returns false. Cancellation is
-// O(1) for every event inside the wheel horizon (an unlink from its slot
-// list); only far-future overflow events pay the heap's O(log n).
+// or was already cancelled is a no-op and returns false.
 func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.state != statePending {
 		return false
 	}
-	e.unqueue(ev)
-	e.npend--
-	if e.npend == 0 {
-		e.minWhen, e.minOK = maxTime, true
-	} else if e.minOK && ev.when == e.minWhen {
-		e.minOK = false // may have been the minimum; recompute lazily
-	}
+	e.heapRemove(int(ev.index))
 	e.release(ev)
 	return true
 }
@@ -194,117 +135,47 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling %q at %d before now %d", ev.label, t, e.now))
 	}
-	e.unqueue(ev) // before touching when: the wheel slot derives from it
-	if e.npend == 1 {
-		e.minWhen, e.minOK = t, true // the sole pending event: exact
-	} else {
-		if e.minOK && ev.when == e.minWhen {
-			e.minOK = false
-		}
-		if e.minOK && t < e.minWhen {
-			e.minWhen = t
-		}
-	}
 	ev.when = t
 	ev.seq = e.seq
 	e.seq++
-	e.place(ev)
+	e.heapFix(int(ev.index))
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
-// It returns false when the queue is empty. The record is recycled after
-// the callback returns, giving handle holders that nil their reference
-// inside the callback a race-free window.
+// It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.minOK {
-		// Exact-minimum fast path: jump straight to the earliest event (see
-		// advanceTo for why no cascade can be skipped over).
-		t := e.minWhen
-		if t == maxTime {
-			return false
-		}
-		if t != e.now {
-			// advanceTo, spelled out so the no-cascade case stays inline.
-			old := e.now
-			e.now = t
-			if t > e.migrateAt || (uint64(old)^uint64(t))>>wheelBits != 0 {
-				e.advanceSlow(old)
-			}
-		}
-		// The minimum is at level 0 after the advance: it was either placed
-		// there (delta < wheelSlots) or its slot's window contains t, making
-		// it the landing slot advanceTo just cascaded.
-		return e.fireOne(int(uint64(t) & wheelMask))
+	if len(e.queue) == 0 {
+		return false
 	}
-	for {
-		lm := e.nextLandmark()
-		if lm == maxTime {
-			return false
-		}
-		e.advanceTo(lm)
-		// The landmark is either an exact level-0 event time (dispatch it)
-		// or the window start of a higher-level slot that advanceTo just
-		// cascaded (loop: its events now sit closer to the clock).
-		s := int(uint64(e.now) & wheelMask)
-		if e.wheel[0][s] != nil {
-			return e.fireOne(s)
-		}
-	}
+	e.fireMin()
+	return true
 }
 
-// fireOne dispatches the head of the level-0 slot s, which the caller has
-// verified (or proven) to be non-empty and due at the current instant.
-func (e *Engine) fireOne(s int) bool {
-	ev := e.wheel[0][s]
-	if nh := ev.next; nh != nil {
-		nh.prev = ev.prev
-		e.wheel[0][s] = nh
-	} else {
-		e.wheel[0][s] = nil
-		e.occupied[0][s>>6] &^= 1 << (s & 63)
-	}
-	ev.next, ev.prev = nil, nil
-	ev.level = levelNone
-	e.lcount[0]--
-	e.npend--
+// fireMin pops the earliest pending event, moves the clock to it and runs
+// its callback. The record is recycled only after the callback returns,
+// giving handle holders that nil their reference inside the callback a
+// race-free window.
+func (e *Engine) fireMin() {
+	ev := e.heapPopMin()
+	e.now = ev.when
 	e.nfired++
 	fn := ev.fn
 	ev.state = stateDead
-	if e.npend == 0 {
-		e.minWhen, e.minOK = maxTime, true
-	} else if e.minOK && ev.when == e.minWhen && e.wheel[0][s] == nil {
-		e.minOK = false // last event at the cached minimum instant
-	}
 	fn(e.now)
 	e.release(ev)
-	return true
 }
 
 // RunUntil fires events in timestamp order until the clock reaches t (events
 // at exactly t do fire) or the queue drains. The clock is left at t or at
-// the time of the last fired event, whichever is later. Unlike Step, it
-// dispatches every event at a given instant in one batched slot pass.
+// the time of the last fired event, whichever is later. Events the
+// callbacks schedule at or before t — including at the current instant —
+// fire in this same call.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		lm := e.minWhen
-		if !e.minOK {
-			lm = e.nextLandmark()
-		}
-		if lm > t {
-			break
-		}
-		// advanceTo, spelled out so the no-cascade case stays inline.
-		old := e.now
-		e.now = lm
-		if lm > e.migrateAt || (uint64(old)^uint64(lm))>>wheelBits != 0 {
-			e.advanceSlow(old)
-		}
-		e.dispatchBatch()
+	for len(e.queue) > 0 && e.queue[0].when <= t {
+		e.fireMin()
 	}
 	if e.now < t {
-		// No landmark at or before t remains, so the skipped-over slots
-		// are all empty and the jump cascades nothing.
-		e.advanceTo(t)
+		e.now = t
 	}
 }
 
@@ -316,7 +187,7 @@ func (e *Engine) RunFor(d Cycles) { e.RunUntil(e.now.Add(d)) }
 // against runaway self-rescheduling loops: Drain panics after firing limit
 // events if the queue is still non-empty.
 func (e *Engine) Drain(limit int) {
-	for i := 0; e.npend > 0; i++ {
+	for i := 0; len(e.queue) > 0; i++ {
 		if i >= limit {
 			panic(fmt.Sprintf("sim: Drain exceeded %d events", limit))
 		}

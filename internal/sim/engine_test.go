@@ -149,8 +149,9 @@ func TestEngineFIFOUnderPooling(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocFree verifies the tentpole contract: once the
-// pool is warm, the schedule-fire cycle performs no heap allocation.
+// TestEngineSteadyStateAllocFree verifies the zero-allocation contract:
+// once the pool is warm, the schedule-fire cycle performs no heap
+// allocation, and neither does Cancel+After churn.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -182,6 +183,36 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestWheelSteadyStateAllocFree pins the zero-allocation contract with near
+// and far events pending together: a short tick, a mid-range period and
+// one ~14 s ahead (255<<24 cycles at 300 MHz). The name dates from the
+// timing wheel that used to sit in front of the heap (DESIGN.md §7.2),
+// whose level 0, two-level cascade and overflow heap these periods hit.
+// Once the pool and heap slice are warm, neither Step nor batched RunUntil
+// may allocate.
+func TestWheelSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	e := NewEngine(1)
+	var tick, slow, far func(Time)
+	tick = func(Time) { e.After(100, "tick", tick) }
+	slow = func(Time) { e.After(70_000, "slow", slow) }
+	far = func(Time) { e.After(255<<24+5, "far", far) }
+	e.After(100, "tick", tick)
+	e.After(70_000, "slow", slow)
+	e.After(255<<24+5, "far", far)
+	for i := 0; i < 2000; i++ { // warm up pool and heap slice
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(2000, func() { e.Step() }); avg != 0 {
+		t.Fatalf("steady-state Step allocates %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { e.RunUntil(e.Now().Add(5_000)) }); avg != 0 {
+		t.Fatalf("steady-state RunUntil allocates %v allocs/op, want 0", avg)
+	}
+}
+
 func TestEngineRunUntilAdvancesClockPastLastEvent(t *testing.T) {
 	e := NewEngine(1)
 	e.At(10, "x", func(Time) {})
@@ -203,6 +234,91 @@ func TestEngineEventsScheduledDuringEvent(t *testing.T) {
 	e.RunUntil(100)
 	if len(hits) != 1 || hits[0] != 15 {
 		t.Fatalf("inner event hits = %v, want [15]", hits)
+	}
+}
+
+// TestEngineCancelDuringBatch cancels a later same-instant event from
+// inside an earlier callback of the same RunUntil: the victim must not
+// fire, and the run must carry on past the hole.
+func TestEngineCancelDuringBatch(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	evs := make([]*Event, 5)
+	for i := range evs {
+		i := i
+		evs[i] = e.At(10, "batch", func(Time) {
+			fired = append(fired, i)
+			if i == 0 {
+				if !e.Cancel(evs[3]) {
+					t.Fatal("mid-batch cancel of a pending same-instant event failed")
+				}
+			}
+		})
+	}
+	e.RunUntil(10)
+	want := []int{0, 1, 2, 4}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+}
+
+// TestEngineSameInstantScheduleDuringBatch schedules at the current instant
+// from inside a callback: the child (and its own grandchild) must fire
+// within the same RunUntil call, after the previously queued events, in
+// seq order.
+func TestEngineSameInstantScheduleDuringBatch(t *testing.T) {
+	e := NewEngine(1)
+	var fired []string
+	e.At(10, "a", func(now Time) {
+		fired = append(fired, "a")
+		e.At(now, "child", func(cn Time) {
+			fired = append(fired, "child")
+			e.At(cn, "grandchild", func(Time) {
+				fired = append(fired, "grandchild")
+			})
+		})
+	})
+	e.At(10, "b", func(Time) { fired = append(fired, "b") })
+	e.RunUntil(10)
+	want := []string{"a", "b", "child", "grandchild"}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if e.Now() != 10 || e.Pending() != 0 {
+		t.Fatalf("now = %d pending = %d, want 10 and 0", e.Now(), e.Pending())
+	}
+}
+
+// TestEngineRunUntilBoundary checks the inclusive edge: RunUntil(t) fires
+// events at exactly t but nothing one cycle later.
+func TestEngineRunUntilBoundary(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	e.At(100, "at", func(now Time) { fired = append(fired, now) })
+	e.At(101, "after", func(now Time) { fired = append(fired, now) })
+	e.RunUntil(100)
+	if len(fired) != 1 || fired[0] != 100 {
+		t.Fatalf("after RunUntil(100): fired %v, want [100]", fired)
+	}
+	if e.Now() != 100 || e.Pending() != 1 {
+		t.Fatalf("now = %d pending = %d, want 100 and 1", e.Now(), e.Pending())
+	}
+	e.RunUntil(101)
+	if len(fired) != 2 || fired[1] != 101 {
+		t.Fatalf("after RunUntil(101): fired %v, want [100 101]", fired)
 	}
 }
 
