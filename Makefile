@@ -18,11 +18,11 @@ NEW  ?= bench-new.json
 # coverage grows, never lower it to make a failure go away.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults cover determinism smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
+.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults bench-harness cover determinism smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
 
 all: check
 
-check: lint build test race substrate failure-paths service fleet-faults
+check: lint build test race substrate failure-paths service fleet-faults bench-harness
 
 # lint: formatting is enforced, not advisory — gofmt drift fails the gate,
 # and go vet runs under the same umbrella so `make lint` is the one cheap
@@ -57,11 +57,12 @@ substrate:
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume
-# byte-identity, and the collect-twice / callback-ordering regressions.
-# These tests interleave cancellation with worker publication, so the race
-# detector is load-bearing here, not belt-and-braces.
+# byte-identity, the collect-twice / callback-ordering regressions, and
+# campaign.Stream's drain-then-return on a failed cell. These tests
+# interleave cancellation with worker publication, so the race detector is
+# load-bearing here, not belt-and-braces.
 failure-paths:
-	$(GO) test -race -run 'TestPanicking|TestCancelled|TestResume|TestCollectTwice|TestOnCellDone|TestCheckpointRestore' ./internal/campaign/...
+	$(GO) test -race -run 'TestPanicking|TestCancelled|TestResume|TestCollectTwice|TestOnCellDone|TestCheckpointRestore|TestStream' ./internal/campaign/...
 
 # service: the campaign-service suite under -race — server admission /
 # overload / dedup / shutdown-drain paths, client retry/backoff and
@@ -82,6 +83,12 @@ service:
 fleet-faults:
 	$(GO) test -race -run 'TestCoordinator|TestFleetSharding|TestFleetHTTP|TestJournal|TestServerResumes|TestServerDoesNotResume' ./internal/server/
 	$(GO) test -race -run 'TestBackoff|TestWorker|TestRunWorker' ./internal/client/
+
+# bench-harness: the end-to-end benchmark's own module (bench/, see
+# bench/README.md) compiles against the internal APIs, so vet it and run
+# its short tests here; tier-1 `go test ./...` at the root never sees it.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # cover: the coverage gate for the campaign runtime, the metrics registry,
 # (since fleet mode) the service wire types and the server — coordinator

@@ -129,25 +129,16 @@ func (m matrixFlags) spec() (*api.CampaignSpec, error) {
 		return nil, err
 	}
 	base := core.RunConfig{Duration: *m.duration}
+	cells := campaign.MatrixCells(oses, classes, *m.variant, base, *m.runs)
 	if pol != nil {
 		// Adaptive campaigns submit logical cells — the policy, not -runs,
 		// decides how many "<key>/<i>" replicas each one expands to.
 		if *m.runs != 1 {
 			return nil, fmt.Errorf("-precision chooses replica counts adaptively; drop -runs")
 		}
-		spec := &api.CampaignSpec{BaseSeed: *m.seed, Precision: pol}
-		for _, o := range oses {
-			for _, c := range classes {
-				cfg := base
-				cfg.OS = o
-				cfg.Workload = c
-				spec.Cells = append(spec.Cells, api.CellSpec{Key: campaign.MatrixKey(o, c, *m.variant), Config: cfg})
-			}
-		}
-		return spec, nil
+		cells = campaign.MatrixLogicalCells(oses, classes, *m.variant, base)
 	}
-	cells := campaign.MatrixCells(oses, classes, *m.variant, base, *m.runs)
-	spec := &api.CampaignSpec{BaseSeed: *m.seed, Cells: make([]api.CellSpec, len(cells))}
+	spec := &api.CampaignSpec{BaseSeed: *m.seed, Precision: pol, Cells: make([]api.CellSpec, len(cells))}
 	for i, c := range cells {
 		spec.Cells[i] = api.CellSpec{Key: c.Key, Config: c.Config}
 	}
@@ -220,17 +211,10 @@ func cmdResult(ctx context.Context, c *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	_, err = w.Write(data)
-	return err
+	return writeOut(*out, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 func cmdWatch(ctx context.Context, c *client.Client, args []string) error {
@@ -283,10 +267,10 @@ func cmdFleet(ctx context.Context, c *client.Client, args []string) error {
 	return nil
 }
 
-// cmdLocal executes the campaign in-process on the campaign runner and
-// writes the result stream the server would serve: one core.EncodeResult
-// document per cell, in cell order. Used to demonstrate (and smoke-test)
-// the byte-identity guarantee.
+// cmdLocal executes the campaign in-process through campaign.Stream — the
+// path latserved runs it on — and writes the result stream the server
+// would serve. Used to demonstrate (and smoke-test) the byte-identity
+// guarantee.
 func cmdLocal(args []string) error {
 	fs := flag.NewFlagSet("local", flag.ExitOnError)
 	m := addMatrixFlags(fs)
@@ -304,45 +288,32 @@ func cmdLocal(args []string) error {
 	if err != nil {
 		return err
 	}
-	run := campaign.New(campaign.Options{BaseSeed: spec.Seed(), Jobs: *jobs, Store: st})
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if spec.Precision != nil {
-		// Mirror the server's adaptive path: each logical cell runs its own
-		// replica loop and the stream carries one pooled document per cell.
-		for _, c := range spec.Cells {
-			res, _, err := run.MergedAdaptive(c.Key, c.Config, *spec.Precision)
-			if err != nil {
-				return err
-			}
-			if err := core.EncodeResult(w, res); err != nil {
-				return err
-			}
-		}
-		return run.Wait()
-	}
 	cells := make([]campaign.Cell, len(spec.Cells))
 	for i, c := range spec.Cells {
 		cells[i] = campaign.Cell{Key: c.Key, Config: c.Config}
 	}
-	run.Submit(cells...)
-	for _, c := range spec.Cells {
-		res, err := run.Result(c.Key)
-		if err != nil {
-			return err
-		}
-		if err := core.EncodeResult(w, res); err != nil {
-			return err
-		}
+	opts := campaign.Options{BaseSeed: spec.Seed(), Jobs: *jobs, Store: st}
+	return writeOut(*out, func(w io.Writer) error {
+		return campaign.Stream(w, cells, spec.Precision, opts)
+	})
+}
+
+// writeOut runs write against the file at path, or stdout when path is
+// empty. A file's Close error fails the command: a write that fails only
+// at close would otherwise exit 0 and leave a truncated file.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	return run.Wait()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printStatus(st api.Status) error {

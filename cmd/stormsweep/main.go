@@ -207,8 +207,11 @@ func emit(dir, name string, fn func(io.Writer) error) {
 	if err != nil {
 		fail(err)
 	}
-	defer f.Close()
-	if err := fn(f); err != nil {
+	err = fn(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("   wrote %s\n", filepath.Join(dir, name))

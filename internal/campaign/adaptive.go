@@ -168,46 +168,48 @@ func (r *Runner) MergedAdaptive(key string, cfg core.RunConfig, prec stats.Preci
 // pooled results, the per-logical-cell Adaptive outcomes keyed by
 // MatrixKey, and the first failure in deterministic cell order.
 func (r *Runner) RunMatrixAdaptive(oses []ospersona.OS, classes []workload.Class, variant string, base core.RunConfig, prec stats.Precision) (map[ospersona.OS]map[workload.Class]*core.Result, map[string]Adaptive, error) {
-	type outcome struct {
-		res *core.Result
-		ad  Adaptive
-		err error
-	}
-	outs := make([]outcome, len(oses)*len(classes))
-	var wg sync.WaitGroup
-	idx := 0
-	for _, o := range oses {
-		for _, c := range classes {
-			cfg := base
-			cfg.OS = o
-			cfg.Workload = c
-			key := MatrixKey(o, c, variant)
-			i := idx
-			idx++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, ad, err := r.MergedAdaptive(key, cfg, prec)
-				outs[i] = outcome{res, ad, err}
-			}()
-		}
-	}
-	wg.Wait()
-
+	cells := MatrixLogicalCells(oses, classes, variant, base)
+	outs := r.mergeAdaptiveAll(cells, prec, nil)
 	results := make(map[ospersona.OS]map[workload.Class]*core.Result, len(oses))
-	adaptives := make(map[string]Adaptive, len(outs))
-	idx = 0
 	for _, o := range oses {
 		results[o] = make(map[workload.Class]*core.Result, len(classes))
-		for _, c := range classes {
-			out := outs[idx]
-			idx++
-			if out.err != nil {
-				return nil, nil, out.err
-			}
-			results[o][c] = out.res
-			adaptives[MatrixKey(o, c, variant)] = out.ad
+	}
+	adaptives := make(map[string]Adaptive, len(cells))
+	for i, c := range cells {
+		if outs[i].err != nil {
+			return nil, nil, outs[i].err
 		}
+		results[c.Config.OS][c.Config.Workload] = outs[i].res
+		adaptives[c.Key] = outs[i].ad
 	}
 	return results, adaptives, nil
+}
+
+// adaptiveOutcome is how one logical cell's MergedAdaptive call ended.
+type adaptiveOutcome struct {
+	res *core.Result
+	ad  Adaptive
+	err error
+}
+
+// mergeAdaptiveAll runs MergedAdaptive for every logical cell concurrently
+// on r and returns their outcomes in cell order once all have finished.
+// done, if non-nil, fires as each logical cell finishes, from its
+// goroutine.
+func (r *Runner) mergeAdaptiveAll(cells []Cell, prec stats.Precision, done func(key string)) []adaptiveOutcome {
+	outs := make([]adaptiveOutcome, len(cells))
+	var wg sync.WaitGroup
+	for i, c := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, ad, err := r.MergedAdaptive(c.Key, c.Config, prec)
+			outs[i] = adaptiveOutcome{res, ad, err}
+			if done != nil {
+				done(c.Key)
+			}
+		}()
+	}
+	wg.Wait()
+	return outs
 }

@@ -83,7 +83,7 @@ func encodeOne(t *testing.T, res *core.Result) []byte {
 // Converged with the replica counts visible in telemetry.
 func TestAdaptiveConvergesAndVariesPerCell(t *testing.T) {
 	reg := metrics.NewRegistry()
-	r := New(Options{BaseSeed: 21, Jobs: 4, Execute: adaptiveFake, Metrics: reg})
+	r := New(Options{BaseSeed: 21, Jobs: 4, ExecuteCell: asCell(adaptiveFake), Metrics: reg})
 
 	resA, adA, err := r.MergedAdaptive("tight", core.RunConfig{Workload: workload.Class(1)}, p99Policy())
 	if err != nil {
@@ -124,7 +124,7 @@ func TestAdaptiveConvergesAndVariesPerCell(t *testing.T) {
 // convergence-failure counter — it must not loop forever or pretend.
 func TestAdaptiveCapIsAConvergenceFailure(t *testing.T) {
 	reg := metrics.NewRegistry()
-	r := New(Options{BaseSeed: 7, Jobs: 2, Execute: fakeResult, Metrics: reg})
+	r := New(Options{BaseSeed: 7, Jobs: 2, ExecuteCell: asCell(fakeResult), Metrics: reg})
 	prec := stats.Precision{Quantiles: []float64{0.99}, RelWidth: 0.05, MaxRuns: 6}
 
 	// fakeResult contributes 3 samples per replica: 18 pooled samples can
@@ -161,7 +161,7 @@ func TestAdaptiveByteIdentity(t *testing.T) {
 	oses := []string{"cellA", "cellB", "cellC"}
 	classes := []workload.Class{workload.Class(0), workload.Class(1), workload.Class(1)}
 	run := func(jobs int, st *store.Store, execute func(core.RunConfig) *core.Result, ctx context.Context) (map[string][]byte, map[string]Adaptive, error) {
-		r := New(Options{BaseSeed: 77, Jobs: jobs, Store: st, Execute: execute, Context: ctx})
+		r := New(Options{BaseSeed: 77, Jobs: jobs, Store: st, ExecuteCell: asCell(execute), Context: ctx})
 		enc := make(map[string][]byte, len(oses))
 		ads := make(map[string]Adaptive, len(oses))
 		for i, key := range oses {
@@ -268,7 +268,7 @@ func TestAdaptiveByteIdentity(t *testing.T) {
 func TestRunMatrixAdaptive(t *testing.T) {
 	osList := []ospersona.OS{ospersona.NT4, ospersona.Win98}
 	classes := []workload.Class{workload.Class(0), workload.Class(1)}
-	r := New(Options{BaseSeed: 5, Jobs: 8, Execute: adaptiveFake})
+	r := New(Options{BaseSeed: 5, Jobs: 8, ExecuteCell: asCell(adaptiveFake)})
 	byOS, ads, err := r.RunMatrixAdaptive(osList, classes, "adp", core.RunConfig{}, p99Policy())
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestRunMatrixAdaptive(t *testing.T) {
 	if len(ads) != len(osList)*len(classes) {
 		t.Fatalf("adaptive outcomes for %d cells, want %d", len(ads), len(osList)*len(classes))
 	}
-	ref := New(Options{BaseSeed: 5, Jobs: 1, Execute: adaptiveFake})
+	ref := New(Options{BaseSeed: 5, Jobs: 1, ExecuteCell: asCell(adaptiveFake)})
 	for _, o := range osList {
 		for _, c := range classes {
 			key := MatrixKey(o, c, "adp")

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -44,6 +45,7 @@ import (
 	"wdmlat/internal/metrics"
 	"wdmlat/internal/ospersona"
 	"wdmlat/internal/sim"
+	"wdmlat/internal/stats"
 	"wdmlat/internal/workload"
 )
 
@@ -112,10 +114,10 @@ type Options struct {
 	// OnCellDone, if non-nil, is invoked as each cell's outcome is
 	// published — after the result (or failure) is visible to Result, and
 	// outside the runner lock, so the callback may itself call Result or
-	// read completion counts. It fires for successful, failed, and
-	// checkpoint-restored cells (not for cells cancelled before dispatch),
-	// from worker goroutines: it must be safe for concurrent use and must
-	// not block for long.
+	// read completion counts — and before Wait can return. It fires for
+	// successful, failed, and checkpoint-restored cells (not for cells
+	// cancelled before dispatch), from worker goroutines: it must be safe
+	// for concurrent use, must not block for long, and must not call Wait.
 	OnCellDone func(key string)
 	// Context, if non-nil, cancels the campaign: queued cells stop being
 	// dispatched and are published as failed with ErrCancelled, while
@@ -129,21 +131,18 @@ type Options struct {
 	// already stored is published immediately from disk and never
 	// dispatched.
 	Store *store.Store
-	// Execute overrides the cell executor, core.Run. Tests use it to
-	// inject panics, cancellation windows, and cheap fake cells; leave
-	// nil for real campaigns. It must stay a pure function of its config
-	// or the determinism contract is void.
-	Execute func(core.RunConfig) *core.Result
-	// ExecuteCell, if non-nil, supersedes Execute: it receives the cell's
-	// key alongside its final config (per-cell seed already derived), and
-	// may fail with an error — the seam a distributed coordinator needs,
-	// where "executing" a cell means leasing it to a remote worker by its
-	// content fingerprint and execution can fail for reasons that are not
-	// panics (coordinator drain, campaign cancellation). An error is
-	// published as that cell's failure exactly like a recovered panic; it
-	// never takes the campaign down. The same purity rule applies: the
-	// result must be a function of (key, config) only, never of which
-	// worker ran it or when.
+	// ExecuteCell overrides the cell executor; nil means core.Run. It
+	// receives the cell's key alongside its final config (per-cell seed
+	// already derived), and may fail with an error — the seam a
+	// distributed coordinator needs, where "executing" a cell means
+	// leasing it to a remote worker by its content fingerprint and
+	// execution can fail for reasons that are not panics (coordinator
+	// drain, campaign cancellation). Tests use it to inject panics,
+	// cancellation windows, and cheap fake cells. An error is published as
+	// that cell's failure exactly like a recovered panic; it never takes
+	// the campaign down. The result must be a function of (key, config)
+	// only, never of which worker ran it or when, or the determinism
+	// contract is void.
 	ExecuteCell func(key string, cfg core.RunConfig) (*core.Result, error)
 	// Metrics, if non-nil, receives the runner's operational telemetry
 	// (the Metric* instruments above). Telemetry is strictly out-of-band:
@@ -393,17 +392,20 @@ func (r *Runner) worker() {
 		r.mu.Lock()
 		p.res, p.err = res, err
 		p.done = true
-		r.open--
 		r.done++
 		r.cond.Broadcast()
 		// Invoke the callback only after the outcome is published, and
 		// outside the lock: a callback that calls Result on its own key,
-		// or reads completed counts, must observe this cell as done.
+		// or reads completed counts, must observe this cell as done. The
+		// cell stays open until the callback returns, so every callback
+		// has fired by the time Wait returns.
 		if cb := r.opts.OnCellDone; cb != nil {
 			r.mu.Unlock()
 			cb(p.cell.Key)
 			r.mu.Lock()
 		}
+		r.open--
+		r.cond.Broadcast()
 	}
 	r.live--
 	r.mu.Unlock()
@@ -421,11 +423,7 @@ func (r *Runner) runCell(c Cell) (res *core.Result, err error) {
 	if r.opts.ExecuteCell != nil {
 		return r.opts.ExecuteCell(c.Key, c.Config)
 	}
-	execute := r.opts.Execute
-	if execute == nil {
-		execute = core.Run
-	}
-	return execute(c.Config), nil
+	return core.Run(c.Config), nil
 }
 
 // Result blocks until the cell with the given key has finished and returns
@@ -530,6 +528,45 @@ func Run(cells []Cell, opts Options) ([]*core.Result, error) {
 	return out, nil
 }
 
+// Stream runs a campaign on a fresh pool and writes its result stream to w
+// in cell order: the bytes latserved serves for the same spec. With prec
+// nil every cell runs once and its core.EncodeResult document is written
+// as soon as it is next in order. With prec set every cell is a logical
+// cell: all of them run their MergedAdaptive loops concurrently, and each
+// writes its pooled document. opts.OnCellDone fires once per cell in both
+// modes. On the first failure in cell order Stream drains the pool, so
+// running cells still checkpoint, and returns that cell's error; otherwise
+// it returns Wait's.
+func Stream(w io.Writer, cells []Cell, prec *stats.Precision, opts Options) error {
+	var r *Runner
+	result := func(i int) (*core.Result, error) { return r.Result(cells[i].Key) }
+	if prec == nil {
+		r = New(opts)
+		r.Submit(cells...)
+	} else {
+		// The runner would fire the callback per replica;
+		// mergeAdaptiveAll fires it per logical cell instead.
+		done := opts.OnCellDone
+		opts.OnCellDone = nil
+		r = New(opts)
+		outs := r.mergeAdaptiveAll(cells, *prec, done)
+		result = func(i int) (*core.Result, error) { return outs[i].res, outs[i].err }
+	}
+	for i, c := range cells {
+		res, err := result(i)
+		if err == nil {
+			if err = core.EncodeResult(w, res); err != nil {
+				err = fmt.Errorf("campaign: encoding cell %q: %w", c.Key, err)
+			}
+		}
+		if err != nil {
+			_ = r.Wait() // the first error is the campaign's; Wait only drains
+			return err
+		}
+	}
+	return r.Wait()
+}
+
 // Key joins key components with "/", the conventional separator.
 func Key(parts ...string) string { return strings.Join(parts, "/") }
 
@@ -592,12 +629,23 @@ func MatrixKey(o ospersona.OS, c workload.Class, variant string) string {
 // per cell. Collect with Runner.Merged(MatrixKey(...), runs).
 func MatrixCells(oses []ospersona.OS, classes []workload.Class, variant string, base core.RunConfig, runs int) []Cell {
 	var cells []Cell
+	for _, c := range MatrixLogicalCells(oses, classes, variant, base) {
+		cells = append(cells, Replicas(c.Key, c.Config, runs)...)
+	}
+	return cells
+}
+
+// MatrixLogicalCells returns the logical cells of an OS × workload matrix,
+// one per OS × workload keyed by MatrixKey, in MatrixCells order — the
+// cells of an adaptive campaign, whose replicas the precision policy adds.
+func MatrixLogicalCells(oses []ospersona.OS, classes []workload.Class, variant string, base core.RunConfig) []Cell {
+	cells := make([]Cell, 0, len(oses)*len(classes))
 	for _, o := range oses {
 		for _, c := range classes {
 			cfg := base
 			cfg.OS = o
 			cfg.Workload = c
-			cells = append(cells, Replicas(MatrixKey(o, c, variant), cfg, runs)...)
+			cells = append(cells, Cell{Key: MatrixKey(o, c, variant), Config: cfg})
 		}
 	}
 	return cells

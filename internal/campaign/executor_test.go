@@ -44,21 +44,24 @@ func TestExecuteCellReceivesKeyAndDerivedSeed(t *testing.T) {
 	}
 }
 
-// TestExecuteCellSupersedesExecute: when both seams are set, only
-// ExecuteCell runs.
+// TestExecuteCellSupersedesExecute: a set ExecuteCell replaces core.Run —
+// the cell's result is the seam's own. The name dates from when Options
+// also had a config-only Execute seam; ExecuteCell is now the only one,
+// and the name is kept so the test's history stays traceable.
 func TestExecuteCellSupersedesExecute(t *testing.T) {
+	want := &core.Result{OSName: "from-seam"}
 	r := New(Options{
-		Execute: func(core.RunConfig) *core.Result {
-			t.Error("Execute ran despite ExecuteCell being set")
-			return &core.Result{}
-		},
 		ExecuteCell: func(key string, cfg core.RunConfig) (*core.Result, error) {
-			return &core.Result{Config: cfg}, nil
+			return want, nil
 		},
 	})
 	r.Submit(Cell{Key: "x"})
-	if _, err := r.Result("x"); err != nil {
+	got, err := r.Result("x")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("collected %q, want the ExecuteCell result: core.Run ran instead", got.OSName)
 	}
 }
 

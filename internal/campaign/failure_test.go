@@ -53,6 +53,11 @@ func fakeResult(cfg core.RunConfig) *core.Result {
 	}
 }
 
+// asCell adapts a config-only fake executor to the ExecuteCell seam.
+func asCell(execute func(core.RunConfig) *core.Result) func(string, core.RunConfig) (*core.Result, error) {
+	return func(_ string, cfg core.RunConfig) (*core.Result, error) { return execute(cfg), nil }
+}
+
 // TestPanickingCellCompletesCampaign: a worker panic inside a cell is
 // recovered and published as that cell's failure; the rest of the campaign
 // finishes, Wait returns (instead of deadlocking on the lost decrement)
@@ -60,12 +65,12 @@ func fakeResult(cfg core.RunConfig) *core.Result {
 // carrying key, value and stack.
 func TestPanickingCellCompletesCampaign(t *testing.T) {
 	const boomDur = 666 * time.Second
-	r := New(Options{BaseSeed: 5, Jobs: 2, Execute: func(cfg core.RunConfig) *core.Result {
+	r := New(Options{BaseSeed: 5, Jobs: 2, ExecuteCell: asCell(func(cfg core.RunConfig) *core.Result {
 		if cfg.Duration == boomDur {
 			panic("injected cell failure")
 		}
 		return fakeResult(cfg)
-	}})
+	})})
 	r.Submit(
 		Cell{Key: "good/1", Config: core.RunConfig{Duration: time.Second}},
 		Cell{Key: "bad/0", Config: core.RunConfig{Duration: boomDur}},
@@ -101,7 +106,7 @@ func TestPanickingCellCompletesCampaign(t *testing.T) {
 // unmodified — the old in-place merge double-pooled the replicas into the
 // campaign's own copy on the second collection.
 func TestCollectTwiceReturnsIdenticalResults(t *testing.T) {
-	r := New(Options{BaseSeed: 3, Jobs: 4, Execute: fakeResult})
+	r := New(Options{BaseSeed: 3, Jobs: 4, ExecuteCell: asCell(fakeResult)})
 	const key = "cell"
 	r.Submit(Replicas(key, core.RunConfig{Duration: time.Second}, 3)...)
 
@@ -137,7 +142,7 @@ func TestOnCellDoneAfterPublication(t *testing.T) {
 	var r *Runner
 	var mu sync.Mutex
 	collected := map[string]uint64{}
-	opts := Options{BaseSeed: 2, Jobs: 1, Execute: fakeResult,
+	opts := Options{BaseSeed: 2, Jobs: 1, ExecuteCell: asCell(fakeResult),
 		OnCellDone: func(key string) {
 			res, err := r.Result(key) // deadlocked before publication-first ordering
 			if err != nil {
@@ -180,13 +185,13 @@ func TestCancelledCampaignDrainsAndCheckpoints(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	r := New(Options{BaseSeed: 9, Jobs: 1, Context: ctx, Store: st,
-		Execute: func(cfg core.RunConfig) *core.Result {
+		ExecuteCell: asCell(func(cfg core.RunConfig) *core.Result {
 			once.Do(func() {
 				close(started)
 				<-release
 			})
 			return fakeResult(cfg)
-		}})
+		})})
 	r.Submit(
 		Cell{Key: "a/0", Config: core.RunConfig{Duration: 1 * time.Second}},
 		Cell{Key: "b/0", Config: core.RunConfig{Duration: 2 * time.Second}},
@@ -238,7 +243,7 @@ func TestCheckpointRestoreSkipsExecution(t *testing.T) {
 	}
 	cells := Replicas("cell", core.RunConfig{Duration: time.Second}, 4)
 
-	r1 := New(Options{BaseSeed: 4, Jobs: 2, Store: st, Execute: execute})
+	r1 := New(Options{BaseSeed: 4, Jobs: 2, Store: st, ExecuteCell: asCell(execute)})
 	r1.Submit(cells...)
 	if err := r1.Wait(); err != nil {
 		t.Fatal(err)
@@ -248,7 +253,7 @@ func TestCheckpointRestoreSkipsExecution(t *testing.T) {
 	}
 
 	var restored atomic.Int64
-	r2 := New(Options{BaseSeed: 4, Jobs: 2, Store: st, Execute: execute,
+	r2 := New(Options{BaseSeed: 4, Jobs: 2, Store: st, ExecuteCell: asCell(execute),
 		OnCellDone: func(string) { restored.Add(1) }})
 	r2.Submit(cells...)
 	if err := r2.Wait(); err != nil {

@@ -103,7 +103,7 @@ func TestTelemetryOutOfBand(t *testing.T) {
 // outcome class — executed cells, checkpoint restores, and cells dropped
 // by cancellation all land in done exactly once.
 func TestProgressAccounting(t *testing.T) {
-	r := New(Options{BaseSeed: 9, Jobs: 2, Execute: fakeResult})
+	r := New(Options{BaseSeed: 9, Jobs: 2, ExecuteCell: asCell(fakeResult)})
 	if d, tot := r.Progress(); d != 0 || tot != 0 {
 		t.Fatalf("fresh runner Progress = (%d, %d), want (0, 0)", d, tot)
 	}
@@ -134,7 +134,7 @@ func TestCheckpointTelemetry(t *testing.T) {
 		return st
 	}
 	runCampaign := func(reg *metrics.Registry) {
-		r := New(Options{BaseSeed: 2, Jobs: 2, Execute: fakeResult, Store: open(reg), Metrics: reg})
+		r := New(Options{BaseSeed: 2, Jobs: 2, ExecuteCell: asCell(fakeResult), Store: open(reg), Metrics: reg})
 		r.Submit(Replicas("cell", cfg, cells)...)
 		if err := r.Wait(); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCheckpointTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	hurt := metrics.NewRegistry()
-	r := New(Options{BaseSeed: 2, Jobs: 2, Execute: fakeResult, Store: open(hurt), Metrics: hurt})
+	r := New(Options{BaseSeed: 2, Jobs: 2, ExecuteCell: asCell(fakeResult), Store: open(hurt), Metrics: hurt})
 	r.Submit(Replicas("cell", cfg, cells)...)
 	if err := r.Wait(); err == nil {
 		t.Fatal("Wait after corruption should surface the store error")

@@ -104,7 +104,7 @@ func TestObsProgressLine(t *testing.T) {
 	}
 	run := campaign.New(campaign.Options{
 		BaseSeed: 1, Jobs: 2, Metrics: o.Registry,
-		Execute: func(core.RunConfig) *core.Result { return &core.Result{} },
+		ExecuteCell: func(string, core.RunConfig) (*core.Result, error) { return &core.Result{}, nil },
 	})
 	run.Submit(
 		campaign.Cell{Key: "a"},
@@ -141,9 +141,9 @@ func TestObsProgressReporterLifecycle(t *testing.T) {
 	}
 	run := campaign.New(campaign.Options{
 		BaseSeed: 1, Jobs: 2, Metrics: o.Registry,
-		Execute: func(core.RunConfig) *core.Result {
+		ExecuteCell: func(string, core.RunConfig) (*core.Result, error) {
 			time.Sleep(2 * time.Millisecond)
-			return &core.Result{}
+			return &core.Result{}, nil
 		},
 	})
 	o.StartProgress(run)

@@ -10,6 +10,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -74,7 +76,8 @@ func adaptiveSpec() *api.CampaignSpec {
 // per logical cell on a plain campaign runner.
 func localAdaptiveBytes(t *testing.T, spec *api.CampaignSpec, jobs int) ([]byte, map[string]campaign.Adaptive) {
 	t.Helper()
-	run := campaign.New(campaign.Options{BaseSeed: spec.Seed(), Jobs: jobs, Execute: adaptiveExec})
+	run := campaign.New(campaign.Options{BaseSeed: spec.Seed(), Jobs: jobs,
+		ExecuteCell: func(_ string, cfg core.RunConfig) (*core.Result, error) { return adaptiveExec(cfg), nil }})
 	var buf bytes.Buffer
 	ads := make(map[string]campaign.Adaptive, len(spec.Cells))
 	for _, c := range spec.Cells {
@@ -202,11 +205,21 @@ func TestAdaptiveAdmissionBound(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec := adaptiveSpec() // 3 cells x MaxRuns 16 = 48 worst-case replicas > 8
+	// 3 cells x MaxRuns 16 = 48 worst-case replicas > 8; and 4 cells x
+	// MaxRuns 2^62, whose product wraps to 0 in int arithmetic.
+	wide := adaptiveSpec()
+	huge := adaptiveSpec()
+	huge.Cells = append(huge.Cells, api.CellSpec{Key: "win98/games/adp", Config: core.RunConfig{OS: ospersona.Win98}})
+	huge.Precision.MaxRuns = 1 << 62
 	c := client.New(ts.URL, client.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if _, err := c.Submit(ctx, spec); err == nil {
-		t.Fatal("adaptive spec exceeding the worst-case cell bound was admitted")
+	for _, spec := range []*api.CampaignSpec{wide, huge} {
+		_, err := c.Submit(ctx, spec)
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("%d cells x max_runs %d: submit = %v, want 400 past the worst-case cell bound",
+				len(spec.Cells), spec.Precision.MaxRuns, err)
+		}
 	}
 }

@@ -235,7 +235,8 @@ func resumeFakeResult(cfg core.RunConfig) *core.Result {
 // pure executor and returns the reference result stream.
 func localResumeBytes(t *testing.T, spec *api.CampaignSpec) []byte {
 	t.Helper()
-	run := campaign.New(campaign.Options{BaseSeed: spec.Seed(), Jobs: 1, Execute: resumeFakeResult})
+	run := campaign.New(campaign.Options{BaseSeed: spec.Seed(), Jobs: 1,
+		ExecuteCell: func(_ string, cfg core.RunConfig) (*core.Result, error) { return resumeFakeResult(cfg), nil }})
 	cells := make([]campaign.Cell, len(spec.Cells))
 	for i, c := range spec.Cells {
 		cells[i] = campaign.Cell{Key: c.Key, Config: c.Config}

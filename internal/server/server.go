@@ -4,9 +4,9 @@
 //
 // The load-bearing guarantee is byte identity: the result stream served
 // for a campaign — one core.EncodeResult document per cell, in submission
-// order — is exactly what the same campaign produces locally, at any
-// worker count, whether the cells were executed or replayed from the
-// cache. That falls out of the campaign determinism contract (per-cell
+// order, as campaign.Stream writes it — is exactly what the same campaign
+// produces locally, at any worker count, whether the cells were executed
+// or replayed from the cache. That falls out of the campaign determinism contract (per-cell
 // seeds derived from the campaign seed and cell key, never from
 // scheduling) plus the exact result codec, and the test suite pins it.
 //
@@ -365,19 +365,19 @@ func (s *Server) runJob(j *job) {
 		s.met.running.Dec()
 	}()
 
-	execute := s.opts.Execute
-	if execute == nil {
-		execute = core.Run
+	// One executor per job — a fleet lease, or the in-process simulator —
+	// wrapped once below to count the cells actually executed, for
+	// server_cells_executed and Cached.
+	local := s.opts.Execute
+	if local == nil {
+		local = core.Run
 	}
-	var executed atomic.Uint64 // cells actually simulated, to compute Cached
-	var executeCell func(string, core.RunConfig) (*core.Result, error)
+	execute := func(_ string, cfg core.RunConfig) (*core.Result, error) { return local(cfg), nil }
 	if s.coord != nil {
 		// Fleet mode: "executing" a cell means leasing it to a worker by
 		// its content fingerprint. The campaign runner's Jobs bound now
 		// caps outstanding leases per campaign instead of local CPU work.
-		executeCell = func(key string, cfg core.RunConfig) (*core.Result, error) {
-			s.met.cellsEx.Inc()
-			executed.Add(1)
+		execute = func(key string, cfg core.RunConfig) (*core.Result, error) {
 			res, err := s.coord.ExecuteRemote(j.ctx, j.spec.Seed(), key, cfg)
 			if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 				// ExecuteRemote surfaces a cancelled wait as the bare ctx
@@ -389,119 +389,39 @@ func (s *Server) runJob(j *job) {
 			return res, err
 		}
 	}
-	runOpts := campaign.Options{
+	var executed atomic.Uint64
+	cells := make([]campaign.Cell, len(j.spec.Cells))
+	for i, c := range j.spec.Cells {
+		cells[i] = campaign.Cell{Key: c.Key, Config: c.Config}
+	}
+	var buf bytes.Buffer
+	err := campaign.Stream(&buf, cells, j.spec.Precision, campaign.Options{
 		BaseSeed: j.spec.Seed(),
 		Jobs:     s.opts.Jobs,
 		Context:  j.ctx,
 		Store:    s.opts.Store,
 		Metrics:  s.opts.Metrics,
-		Execute: func(cfg core.RunConfig) *core.Result {
+		ExecuteCell: func(key string, cfg core.RunConfig) (*core.Result, error) {
 			s.met.cellsEx.Inc()
 			executed.Add(1)
-			return execute(cfg)
+			return execute(key, cfg)
 		},
-		ExecuteCell: executeCell,
-		OnCellDone:  j.cellDone,
-	}
-	if j.spec.Precision != nil {
-		// Adaptive campaigns publish progress per logical cell, below —
-		// the runner's per-replica callback would overshoot Total.
-		runOpts.OnCellDone = nil
-		s.runAdaptive(j, campaign.New(runOpts), &executed)
-		return
-	}
-	run := campaign.New(runOpts)
-	cells := make([]campaign.Cell, len(j.spec.Cells))
-	for i, c := range j.spec.Cells {
-		cells[i] = campaign.Cell{Key: c.Key, Config: c.Config}
-	}
-	run.Submit(cells...)
-
-	// Collect in submission order and stream each cell's exact checkpoint
-	// encoding into the result buffer — the same bytes a local runner
-	// would encode for the same campaign.
-	var buf bytes.Buffer
-	for _, c := range j.spec.Cells {
-		res, err := run.Result(c.Key)
-		if err != nil {
-			_ = run.Wait() // drain running cells so their checkpoints flush
-			state := api.StateFailed
-			if errors.Is(err, campaign.ErrCancelled) {
-				state = api.StateCancelled
-			}
-			s.finishJob(j, state, nil, err.Error())
-			return
-		}
-		if err := core.EncodeResult(&buf, res); err != nil {
-			_ = run.Wait()
-			s.finishJob(j, api.StateFailed, nil, fmt.Sprintf("encoding cell %q: %v", c.Key, err))
-			return
-		}
-	}
-	// Every cell collected; Wait only surfaces checkpoint-store I/O
-	// problems now, which fail the job loudly rather than serving a
-	// result whose cache entries silently went missing.
-	if err := run.Wait(); err != nil {
+		OnCellDone: j.cellDone,
+	})
+	switch {
+	case errors.Is(err, campaign.ErrCancelled):
+		s.finishJob(j, api.StateCancelled, nil, err.Error())
+	case err != nil:
+		// A failed cell, or — after every cell was collected — a
+		// checkpoint-store I/O problem: fail loudly rather than serve a
+		// result whose cache entries silently went missing.
 		s.finishJob(j, api.StateFailed, nil, err.Error())
-		return
+	default:
+		j.mu.Lock()
+		j.cached = executed.Load() == 0
+		j.mu.Unlock()
+		s.finishJob(j, api.StateDone, buf.Bytes(), "")
 	}
-	j.mu.Lock()
-	j.cached = executed.Load() == 0
-	j.mu.Unlock()
-	s.finishJob(j, api.StateDone, buf.Bytes(), "")
-}
-
-// runAdaptive executes an adaptive (Precision-bearing) campaign: every spec
-// cell is a logical cell whose replicas are added by the stopping rule, all
-// logical cells progress concurrently on the shared runner pool, and the
-// result stream is one pooled core.EncodeResult document per logical cell
-// in submission order — byte-identical to the same spec run locally,
-// because replica seeds and the stopping rule depend only on the data.
-func (s *Server) runAdaptive(j *job, run *campaign.Runner, executed *atomic.Uint64) {
-	prec := *j.spec.Precision
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	outs := make([]outcome, len(j.spec.Cells))
-	var wg sync.WaitGroup
-	for i, c := range j.spec.Cells {
-		i, c := i, c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, _, err := run.MergedAdaptive(c.Key, c.Config, prec)
-			outs[i] = outcome{res, err}
-			j.cellDone(c.Key)
-		}()
-	}
-	wg.Wait()
-
-	var buf bytes.Buffer
-	for i, c := range j.spec.Cells {
-		if err := outs[i].err; err != nil {
-			_ = run.Wait() // drain in-flight replicas so their checkpoints flush
-			state := api.StateFailed
-			if errors.Is(err, campaign.ErrCancelled) {
-				state = api.StateCancelled
-			}
-			s.finishJob(j, state, nil, err.Error())
-			return
-		}
-		if err := core.EncodeResult(&buf, outs[i].res); err != nil {
-			_ = run.Wait()
-			s.finishJob(j, api.StateFailed, nil, fmt.Sprintf("encoding cell %q: %v", c.Key, err))
-			return
-		}
-	}
-	if err := run.Wait(); err != nil {
-		s.finishJob(j, api.StateFailed, nil, err.Error())
-		return
-	}
-	j.mu.Lock()
-	j.cached = executed.Load() == 0
-	j.mu.Unlock()
-	s.finishJob(j, api.StateDone, buf.Bytes(), "")
 }
 
 func (s *Server) finishJob(j *job, state string, result []byte, errMsg string) {
@@ -563,11 +483,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if spec.Precision != nil {
 		// Admission bounds the worst case: every logical cell running to
-		// the policy's replica cap.
-		if worst := len(spec.Cells) * spec.Precision.Normalized().MaxRuns; worst > s.opts.MaxCells {
+		// the policy's replica cap. Compared by division, because the
+		// product of the cell count and a huge max_runs wraps.
+		if maxRuns := spec.Precision.Normalized().MaxRuns; maxRuns > s.opts.MaxCells/len(spec.Cells) {
 			writeError(w, http.StatusBadRequest,
-				"adaptive campaign could expand to %d replica cells (%d cells x max_runs %d), limit %d",
-				worst, len(spec.Cells), spec.Precision.Normalized().MaxRuns, s.opts.MaxCells)
+				"adaptive campaign could expand past %d replica cells (%d cells x max_runs %d)",
+				s.opts.MaxCells, len(spec.Cells), maxRuns)
 			return
 		}
 	}

@@ -9,6 +9,8 @@
 #   5. restart latserved on the same cache dir, resubmit, and assert via
 #      /metrics that the result was served entirely from the
 #      content-addressed cache (zero cells executed, all checkpoint hits)
+#   6. run an adaptive (-precision) campaign through latctl submit and
+#      latctl local, and cmp both against cmd/reproduce -encode
 #
 # Scratch state lives in results-serve-smoke/ (gitignored); it is removed
 # on success and kept for post-mortem on failure.
@@ -90,9 +92,22 @@ HITS=$(metric campaign_checkpoint_hits)
 [ "${HITS:-0}" -ge 1 ] || fail "warm cache shows no checkpoint hits"
 echo "   warm cache: 0 cells executed, $HITS checkpoint hits"
 
+echo "== adaptive campaign: latctl submit and latctl local vs reproduce -encode"
+# ADAPTIVE is a flag list, expanded unquoted so it splits into words.
+ADAPTIVE="-precision 0.2 -max-runs 12 -duration $DURATION -seed $SEED"
+"$DIR/latctl" -server "$URL" result -o "$DIR/server-adaptive.json" \
+    "$("$DIR/latctl" -server "$URL" submit $ADAPTIVE)"
+"$DIR/latctl" local $ADAPTIVE -jobs 4 -o "$DIR/local-adaptive.json"
+"$DIR/reproduce" $ADAPTIVE -jobs 4 -outdir "$DIR/repro-adaptive" \
+    -encode "$DIR/reproduce-adaptive.json" >/dev/null
+cmp "$DIR/server-adaptive.json" "$DIR/reproduce-adaptive.json" ||
+    fail "adaptive server result differs from reproduce -encode"
+cmp "$DIR/local-adaptive.json" "$DIR/reproduce-adaptive.json" ||
+    fail "adaptive latctl local result differs from reproduce -encode"
+
 kill "$SERVED_PID"
 wait "$SERVED_PID" 2>/dev/null || true
 SERVED_PID=
 
-echo "serve-smoke: ok (server result byte-identical to local run, cold and warm)"
+echo "serve-smoke: ok (server result byte-identical to local run, cold, warm and adaptive)"
 rm -rf "$DIR"
