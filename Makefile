@@ -1,8 +1,9 @@
 # Developer entry points. `make check` is the full gate: vet, build, tests
-# with the race detector (the campaign worker pool now runs simulations —
-# each with its own kernel thread goroutines — concurrently, so races are a
-# first-class failure mode, not a theoretical one), plus the event-heap
-# oracle and steady-state allocation tests that guard the pooled substrate.
+# with the race detector (the campaign worker pool runs simulations
+# concurrently, one goroutine per machine with its kernel threads as step
+# bodies on it, so races are a first-class failure mode, not a theoretical
+# one), plus the event-heap oracle, the step-body differential test and the
+# steady-state allocation tests that guard the pooled substrate.
 
 GO ?= go
 
@@ -47,12 +48,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the pooled-event-heap oracle property test under -race, plus
-# the zero-allocation tests without -race (AllocsPerRun is meaningless under
+# substrate: the pooled-event-heap oracle property test and the kernel's
+# step-body differential test (random thread programs as step bodies
+# against the blocking CreateThread reference) under -race, plus the
+# zero-allocation tests without -race (AllocsPerRun is meaningless under
 # the race detector's instrumented allocator, so those tests skip themselves
 # there and must also run uninstrumented).
 substrate:
 	$(GO) test -race -run 'TestWheelMatchesReferenceEngine|TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary' ./internal/sim/
+	$(GO) test -race -run 'TestStepBodiesMatchBlockingReference' ./internal/kernel/
 	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree' ./internal/sim/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —

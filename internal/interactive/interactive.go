@@ -94,14 +94,24 @@ func Run(cfg Config) *Result {
 	wake := m.Kernel.NewEvent("fg.input", kernel.SynchronizationEvent)
 	var pressedAt sim.Time
 	echoCost := m.MS(cfg.EchoCostMS)
-	m.Kernel.CreateThread("foreground", cfg.Priority, func(tc *kernel.ThreadContext) {
-		for {
+	echo := func() {
+		res.Response.Add(m.CPU.TSC().Sub(pressedAt))
+		res.Events++
+	}
+	// A step body (see kernel.ThreadContext) with pc as its program
+	// counter: wait for input, process and repaint, record the response.
+	pc := 0
+	m.Kernel.CreateStepThread("foreground", cfg.Priority, func(tc *kernel.ThreadContext) {
+		switch pc {
+		case 0:
+			pc = 1
 			tc.Wait(wake)
+		case 1:
+			pc = 2
 			tc.Exec(echoCost)
-			tc.Do(func() {
-				res.Response.Add(m.CPU.TSC().Sub(pressedAt))
-				res.Events++
-			})
+		case 2:
+			pc = 0
+			tc.Do(echo)
 		}
 	})
 

@@ -148,14 +148,14 @@ type Kernel struct {
 	ready      [NumPriorities][]*Thread
 	readyMask  uint32
 	current    *Thread
-	reqCh      chan *request
 	threads    []*Thread
 	inDispatch bool
 
 	// Work-item queue (§4.2: serviced by an RT default priority thread).
-	workQ   []*WorkItem
-	workSem *Semaphore
-	worker  *Thread
+	workQ      []*WorkItem
+	workSem    *Semaphore
+	worker     *Thread
+	workerWoke bool // workerStep's program counter
 
 	nmiHandler func(now sim.Time)
 
@@ -173,7 +173,6 @@ func New(eng *sim.Engine, c *cpu.CPU, cfg Config) *Kernel {
 		cfg:        cfg,
 		rng:        eng.RNG().Split(),
 		interrupts: make(map[int]*Interrupt),
-		reqCh:      make(chan *request),
 	}
 	return k
 }
@@ -222,7 +221,7 @@ func (k *Kernel) Boot(clockVector int, tickPeriod sim.Cycles) {
 	k.clockVec = clockVector
 	k.Connect(clockVector, ClockLevel, "NTKERN", "_KeUpdateSystemTime", k.clockISR)
 	k.workSem = k.NewSemaphore(0, 1<<30)
-	k.worker = k.CreateThread("ExWorkerThread", k.cfg.WorkerPriority, k.workerBody)
+	k.worker = k.CreateStepThread("ExWorkerThread", k.cfg.WorkerPriority, k.workerStep)
 }
 
 // TickPeriod returns the programmed clock interrupt period in cycles.

@@ -610,24 +610,19 @@ func TestMaskInterruptsEpisodeDelaysIsr(t *testing.T) {
 
 func TestWorkItemRunsOnWorkerAtDefaultRTPriority(t *testing.T) {
 	b := newBench(t, 1, false)
-	var ranOn string
-	done := false
-	b.k.QueueWorkItem(&kernel.WorkItem{
-		Name:   "wi",
-		Cycles: 10_000,
-		Fn: func(tc *kernel.ThreadContext) {
-			ranOn = tc.Thread().Name
-			done = true
-		},
-	})
+	b.k.QueueWorkItem(&kernel.WorkItem{Name: "wi", Cycles: 10_000})
 	b.eng.RunUntil(10_000_000)
-	if !done {
-		t.Fatal("work item never ran")
+	w := b.k.Worker()
+	if w.Name != "ExWorkerThread" {
+		t.Fatalf("worker thread is %q", w.Name)
 	}
-	if ranOn != "ExWorkerThread" {
-		t.Fatalf("work item ran on %q", ranOn)
+	if got := w.CPUTime(); got != 10_000 {
+		t.Fatalf("worker ran %d cycles, want the work item's 10000", got)
 	}
-	if got := b.k.Worker().Priority(); got != kernel.RealtimeDefault {
+	if n := b.k.WorkQueueLen(); n != 0 {
+		t.Fatalf("%d work items still queued", n)
+	}
+	if got := w.Priority(); got != kernel.RealtimeDefault {
 		t.Fatalf("worker priority = %d, want %d", got, kernel.RealtimeDefault)
 	}
 }

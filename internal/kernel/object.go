@@ -280,7 +280,7 @@ func (k *Kernel) wakeThreadFrom(src Waitable, t *Thread, status WaitStatus) {
 		}
 		t.waitAny = nil
 	}
-	t.resumeVal = resumeMsg{status: status, index: idx}
+	t.result = waitResult{status: status, index: idx}
 	t.needsResume = true
 	t.state = threadReady
 	t.readiedAt = k.now()

@@ -154,7 +154,8 @@ func (k *Kernel) suspendExec(t *Thread, now sim.Time) {
 	if t.execRemaining == 0 {
 		// Suspended at the exact instant the segment completed (the
 		// cancelled completion event shared this timestamp): the request
-		// is satisfied, so the goroutine owes us a resume, not an exec.
+		// is satisfied, so the body owes us its next operation, not an
+		// exec.
 		t.needsResume = true
 	}
 }
@@ -204,67 +205,89 @@ func (k *Kernel) onQuantumExpiry(t *Thread, now sim.Time) {
 	k.maybeRun()
 }
 
-// serveOne resumes the current thread's goroutine for exactly one request
-// and applies it. The goroutine runs in zero virtual time; only Exec/Wait
-// let time pass. The return value follows the scheduleStep contract: true
-// asks the dispatch loop to re-evaluate, false means the CPU is committed.
+// serveOne resumes the current thread: it calls the thread's step body on
+// the kernel goroutine and applies the one operation the body made. The
+// body runs in zero virtual time; only Exec/Wait let time pass. An
+// operation that completes inline — a wait its poll satisfies, Exec(0), a
+// kernel call after which mustYield is false — calls the body again at
+// once, with no dispatch pass, just as a blocking body continues past it.
+// The return value follows the scheduleStep contract: true asks the
+// dispatch loop to re-evaluate, false means the CPU is committed.
 func (k *Kernel) serveOne(t *Thread) bool {
 	t.needsResume = false
-	msg := t.resumeVal
-	t.resumeVal = resumeMsg{}
-	t.resume <- msg
-	req := <-k.reqCh
-
-	switch req.kind {
-	case reqExec:
-		if req.cycles <= 0 {
-			t.needsResume = true // zero-length exec: immediately runnable again
+	tc := &t.tc
+	for {
+		tc.req = request{}
+		t.step(tc)
+		req := &tc.req
+		switch req.kind {
+		case reqNone:
+			// The body returned without an operation: the thread ends.
+			t.state = threadTerminated
+			t.terminated = true
+			k.current = nil
+			t.doneEvent.set()
 			return true
+
+		case reqExec:
+			if req.cycles == 0 {
+				continue
+			}
+			// Start the segment right away: a resumed body holds the CPU
+			// with nothing above thread level pending (the loop drained it
+			// all before resuming, and kernel calls that arm such work
+			// yield back), and the ready set is unchanged since the last
+			// preemption check, so the loop pass that would otherwise start
+			// it is provably a no-op.
+			t.execRemaining = req.cycles
+			k.beginExecSegment(t)
+			return false
+
+		case reqCall:
+			// The body already ran the call (see ThreadContext.call).
+			if !k.mustYield(t) {
+				continue
+			}
+			t.needsResume = true
+
+		case reqYield:
+			t.needsResume = true
+
+		case reqRaisedExec:
+			// Same argument as reqExec: once the raised section occupies
+			// the CPU, the skipped loop pass would only find it running and
+			// return.
+			return k.beginRaisedExec(t, req)
+
+		case reqWait:
+			if k.beginWait(t, req) {
+				continue
+			}
+
+		case reqWaitAny:
+			if k.beginWaitAny(t, req) {
+				continue
+			}
 		}
-		// Start the segment right away: a resumed body holds the CPU with
-		// nothing above thread level pending (the loop drained it all before
-		// resuming, and inline calls that arm such work yield back), and the
-		// ready set is unchanged since the last preemption check, so the
-		// loop pass that would otherwise start it is provably a no-op.
-		t.execRemaining = req.cycles
-		k.beginExecSegment(t)
-		return false
-
-	case reqCall:
-		req.fn()
-		t.needsResume = true
-
-	case reqYield:
-		t.needsResume = true
-
-	case reqPanic:
-		panic(req.pv)
-
-	case reqRaisedExec:
-		// Same argument as reqExec: once the raised section occupies the
-		// CPU, the skipped loop pass would only find it running and return.
-		return k.beginRaisedExec(t, req)
-
-	case reqWait:
-		k.beginWait(t, req)
-
-	case reqWaitAny:
-		k.beginWaitAny(t, req)
-
-	case reqExit:
-		t.state = threadTerminated
-		t.terminated = true
-		k.current = nil
-		t.doneEvent.set()
+		return true
 	}
-	return true
+}
+
+// mustYield reports whether, after a kernel call its body made, thread t
+// must let the dispatch loop take a pass before it continues: the call
+// made work runnable above thread level or readied a thread that outranks
+// t. Nothing else can have changed, because nothing but the body runs
+// between its resumption and its next operation.
+func (k *Kernel) mustYield(t *Thread) bool {
+	return k.irqPending > 0 || len(k.dpcQ) > 0 || len(k.episodes) > 0 ||
+		k.bestReadyPriority() > t.priority
 }
 
 // beginRaisedExec runs a thread's raised-IRQL section as a CPU occupancy at
 // the matching preemption level: DISPATCH_LEVEL blocks DPCs and
 // rescheduling, device IRQLs additionally hold off lower interrupts, and
-// HIGH_LEVEL masks everything. The thread stays current; its goroutine
-// resumes when the section completes.
+// HIGH_LEVEL masks everything. The thread stays current; its body resumes
+// when the section completes.
 func (k *Kernel) beginRaisedExec(t *Thread, req *request) bool {
 	if req.cycles <= 0 {
 		t.needsResume = true
@@ -295,22 +318,22 @@ func (k *Kernel) beginRaisedExec(t *Thread, req *request) bool {
 }
 
 // beginWait implements KeWaitForSingleObject semantics for the current
-// thread, including the nil-object pure-timeout form used by Sleep.
-func (k *Kernel) beginWait(t *Thread, req *request) {
+// thread, including the nil-object pure-timeout form used by Sleep. It
+// reports whether the poll satisfied the wait inline.
+func (k *Kernel) beginWait(t *Thread, req *request) bool {
 	if req.obj != nil && req.obj.poll(t) {
-		t.resumeVal = resumeMsg{status: WaitSuccess}
-		t.needsResume = true
-		return
+		t.result = waitResult{status: WaitSuccess}
+		return true
 	}
 	if req.obj == nil && req.timeout == 0 {
 		// Sleep(0): a pure yield.
-		t.resumeVal = resumeMsg{status: WaitTimedOut}
+		t.result = waitResult{status: WaitTimedOut}
 		t.needsResume = true
 		t.state = threadReady
 		t.readiedAt = k.now()
 		k.pushReadyBack(t)
 		k.current = nil
-		return
+		return false
 	}
 	t.state = threadWaiting
 	t.waitObj = req.obj
@@ -321,17 +344,18 @@ func (k *Kernel) beginWait(t *Thread, req *request) {
 		t.waitTimeoutEv = k.eng.After(req.timeout, t.labelWaitTimeout, t.onWaitTimeoutFn)
 	}
 	k.current = nil
+	return false
 }
 
 // beginWaitAny implements KeWaitForMultipleObjects (WaitAny) for the
-// current thread: satisfy immediately from the first signaled object, or
-// register on all of them.
-func (k *Kernel) beginWaitAny(t *Thread, req *request) {
+// current thread: satisfy inline from the first signaled object, or
+// register on all of them. It reports whether the wait was satisfied
+// inline.
+func (k *Kernel) beginWaitAny(t *Thread, req *request) bool {
 	for i, o := range req.objs {
 		if o.poll(t) {
-			t.resumeVal = resumeMsg{status: WaitSuccess, index: i}
-			t.needsResume = true
-			return
+			t.result = waitResult{status: WaitSuccess, index: i}
+			return true
 		}
 	}
 	t.state = threadWaiting
@@ -343,6 +367,7 @@ func (k *Kernel) beginWaitAny(t *Thread, req *request) {
 		t.waitTimeoutEv = k.eng.After(req.timeout, t.labelWaitAny, t.onWaitTimeoutFn)
 	}
 	k.current = nil
+	return false
 }
 
 // onWaitTimeout expires a timed wait.
@@ -363,7 +388,7 @@ func (k *Kernel) onWaitTimeout(t *Thread) {
 	}
 	t.state = threadReady
 	t.readiedAt = k.now()
-	t.resumeVal = resumeMsg{status: WaitTimedOut}
+	t.result = waitResult{status: WaitTimedOut}
 	t.needsResume = true
 	k.pushReadyBack(t)
 	if k.probe.ThreadReadied != nil {
@@ -372,15 +397,18 @@ func (k *Kernel) onWaitTimeout(t *Thread) {
 	k.maybeRun()
 }
 
-// Shutdown unwinds every live thread goroutine. The simulation must not be
-// advanced afterwards. It is safe to call multiple times.
+// Shutdown ends every live thread. A step thread holds nothing to
+// release; the goroutine of each CreateThread body is unwound. The
+// simulation must not be advanced afterwards. It is safe to call multiple
+// times.
 func (k *Kernel) Shutdown() {
 	for _, t := range k.threads {
 		if t.terminated {
 			continue
 		}
 		t.terminated = true
-		t.resume <- resumeMsg{kill: true}
-		<-t.dead
+		if b := t.tc.body; b != nil {
+			b.kill()
+		}
 	}
 }

@@ -34,52 +34,51 @@ func (s threadState) String() string {
 	}
 }
 
-// request kinds carried over the thread → kernel channel.
+// reqKind names the one operation a thread makes per resumption.
 type reqKind int
 
 const (
-	reqExec reqKind = iota
+	// reqNone is the zero value: the body returned without an operation,
+	// which ends the thread.
+	reqNone reqKind = iota
+	reqExec
+	// reqCall marks a kernel call the body has already run inline (see
+	// ThreadContext.call); serveOne only decides whether it must yield.
 	reqCall
 	reqWait
-	reqExit
 	reqRaisedExec
 	reqWaitAny
-	// reqYield carries no payload: the body ran a kernel-context closure
-	// inline (see ThreadContext.call) and something above thread level
-	// became runnable, so the dispatch loop must take a pass before the
-	// body continues.
+	// reqYield carries no payload. Only the blocking adapter makes it: its
+	// body ran a kernel call inline (see blockingBody.call) and something
+	// above thread level became runnable, so the dispatch loop must take a
+	// pass before the body continues.
 	reqYield
-	// reqPanic forwards a panic from an inlined kernel-context closure to
-	// the kernel goroutine: bug checks must unwind the engine (the
-	// simulated BSOD), not the offending thread's goroutine.
-	reqPanic
 )
 
+// request is a thread's operation, recorded by the ThreadContext method
+// that makes it and applied by serveOne.
 type request struct {
 	kind    reqKind
 	cycles  sim.Cycles // reqExec, reqRaisedExec
-	fn      func()     // reqCall
 	obj     Waitable   // reqWait
 	objs    []Waitable // reqWaitAny
 	timeout sim.Cycles // reqWait/reqWaitAny; <0 means infinite
 	irql    IRQL       // reqRaisedExec
-	pv      any        // reqPanic
 }
 
-type resumeMsg struct {
+// waitResult is the outcome of a thread's latest wait.
+type waitResult struct {
 	status WaitStatus
 	index  int // reqWaitAny: which object satisfied the wait
-	kill   bool
 }
 
-// errKilled is the panic value used to unwind a thread goroutine at
-// shutdown.
-var errKilled = fmt.Errorf("kernel: thread killed at shutdown")
-
-// Thread is a simulated kernel-mode thread. Its body runs on a dedicated
-// goroutine that is resumed by the scheduler exactly when the simulated
-// thread runs; the body interacts with the machine solely through its
+// Thread is a simulated kernel-mode thread. It has no goroutine of its
+// own: its body is a step function that the scheduler calls on the kernel
+// goroutine each time the thread resumes (see ThreadContext for the step
+// contract), the way ISRs and DPCs run as callbacks in whatever context
+// the machine is in. The body acts on the machine solely through its
 // ThreadContext, and simulated time only passes at Exec/Wait boundaries.
+// CreateThread adapts a blocking-style body onto this step path.
 type Thread struct {
 	k        *Kernel
 	Name     string
@@ -87,9 +86,9 @@ type Thread struct {
 	base     int // assigned priority
 	state    threadState
 
-	resume    chan resumeMsg
-	resumeVal resumeMsg
-	dead      chan struct{}
+	step   func(tc *ThreadContext)
+	tc     ThreadContext
+	result waitResult // outcome of the latest wait
 
 	// Execution-segment state while running.
 	execRemaining sim.Cycles
@@ -128,13 +127,22 @@ type Thread struct {
 	raisedCycles     sim.Cycles // cost of the raised-IRQL section in flight
 }
 
-// CreateThread creates and readies a kernel thread (PsCreateSystemThread).
-// The body runs when the scheduler first dispatches the thread.
-func (k *Kernel) CreateThread(name string, priority int, fn func(tc *ThreadContext)) *Thread {
+// CreateStepThread creates and readies a kernel thread
+// (PsCreateSystemThread) whose body is the step function step. The
+// scheduler first calls it when it first dispatches the thread, and again
+// at every resumption after that; see ThreadContext for the contract.
+func (k *Kernel) CreateStepThread(name string, priority int, step func(tc *ThreadContext)) *Thread {
+	t := k.newThread(name, priority, step)
+	k.startThread(t)
+	return t
+}
+
+// newThread builds a thread without readying it.
+func (k *Kernel) newThread(name string, priority int, step func(tc *ThreadContext)) *Thread {
 	if priority < MinPriority || priority > MaxPriority {
 		panic(fmt.Sprintf("kernel: priority %d out of range", priority))
 	}
-	if fn == nil {
+	if step == nil {
 		panic("kernel: nil thread body")
 	}
 	t := &Thread{
@@ -143,12 +151,12 @@ func (k *Kernel) CreateThread(name string, priority int, fn func(tc *ThreadConte
 		priority:    priority,
 		base:        priority,
 		state:       threadReady,
-		resume:      make(chan resumeMsg),
-		dead:        make(chan struct{}),
+		step:        step,
 		quantumLeft: k.cfg.Quantum,
 		readiedAt:   k.now(),
 		needsResume: true,
 	}
+	t.tc = ThreadContext{k: k, t: t}
 	t.doneEvent = k.NewEvent(name+".done", NotificationEvent)
 	t.labelExec = "exec:" + name
 	t.labelQuantum = "quantum:" + name
@@ -173,32 +181,16 @@ func (k *Kernel) CreateThread(name string, priority int, fn func(tc *ThreadConte
 		t.needsResume = true
 	}
 	k.threads = append(k.threads, t)
+	return t
+}
 
-	tc := &ThreadContext{k: k, t: t}
-	go func() {
-		defer close(t.dead)
-		defer func() {
-			if r := recover(); r != nil && r != errKilled {
-				panic(r)
-			}
-		}()
-		msg := <-t.resume
-		if msg.kill {
-			return
-		}
-		fn(tc)
-		// Body returned: deliver the exit request. The kernel never
-		// resumes a terminated thread, so the goroutine ends here.
-		tc.req = request{kind: reqExit}
-		k.reqCh <- &tc.req
-	}()
-
+// startThread readies a new thread; it first runs when dispatched.
+func (k *Kernel) startThread(t *Thread) {
 	k.pushReadyBack(t)
 	if k.probe.ThreadReadied != nil {
 		k.probe.ThreadReadied(t, t.readiedAt)
 	}
 	k.maybeRun()
-	return t
 }
 
 // Priority returns the thread's current effective priority (base plus any
@@ -224,17 +216,42 @@ func (t *Thread) Done() *Event { return t.doneEvent }
 func (t *Thread) State() string { return t.state.String() }
 
 // ThreadContext is the API surface a thread body uses to act on the
-// machine. Each method that logically takes time round-trips through the
+// machine. Each method that logically takes time goes through the
 // scheduler, so preemption, interrupts and overhead episodes interleave
 // exactly as they would on hardware.
+//
+// The step contract. A thread's body is a step function: the scheduler
+// calls it on the kernel goroutine each time the thread resumes, and it
+// makes exactly one ThreadContext operation as its last action and
+// returns. The operations are Exec, ExecDist, ExecRaised, the waits
+// (Wait, WaitTimeout, WaitAny, WaitAnyTimeout, Sleep) and the kernel
+// calls (Do, SetEvent, ResetEvent, ReleaseSemaphore, ReleaseMutex,
+// SetPriority, QueueDpc, SetTimer, CancelTimer, CompleteIrp,
+// QueueWorkItem). A kernel call runs at once, at the body's instant; an
+// Exec or a wait is only recorded, and the scheduler applies it after the
+// body returns. So a body that must run past an operation keeps its own
+// program counter and picks up there on its next call, which comes when
+// the operation has completed. Some operations complete inline: a wait
+// its poll satisfies, Exec(0), or a kernel call that readies nothing
+// above the thread. After one of these the next call follows at once with
+// no dispatch pass, just as a blocking body continues past them. A second
+// operation in one call panics. Returning without an operation ends the
+// thread. The wait methods return zero values to a step body, because the
+// wait has not happened yet when they return.
+//
+// CreateThread instead runs a blocking-style body, which loops and makes
+// operations in sequence, on a goroutine of its own; there every method
+// returns when its operation has completed, and the wait methods report
+// the outcome.
 type ThreadContext struct {
 	k *Kernel
 	t *Thread
-	// req is the request in flight over k.reqCh. The channel carries a
-	// pointer to this scratch slot rather than the ~100-byte struct: the
-	// body goroutine only reuses it after the kernel resumes it, by which
-	// point serveOne has consumed the previous request.
+	// req is the operation of the current resumption; serveOne clears it
+	// before each call of the step body and applies it afterwards.
 	req request
+	// body is the goroutine adapter of a CreateThread body, nil for a step
+	// body.
+	body *blockingBody
 }
 
 // Thread returns the underlying thread.
@@ -246,37 +263,34 @@ func (tc *ThreadContext) Kernel() *Kernel { return tc.k }
 // Now reads the time stamp counter — GetCycleCount from thread context.
 func (tc *ThreadContext) Now() sim.Time { return tc.k.cpu.TSC() }
 
-// await blocks the goroutine until the kernel resumes it, translating a
-// shutdown kill into goroutine unwinding.
-func (tc *ThreadContext) await() resumeMsg {
-	msg := <-tc.t.resume
-	if msg.kill {
-		panic(errKilled)
+// do makes the operation r: a step body records it for serveOne, a
+// blocking body hands it to its adapter and returns the outcome once the
+// operation has completed.
+func (tc *ThreadContext) do(r request) waitResult {
+	if tc.body != nil {
+		return tc.body.do(tc, r)
 	}
-	return msg
-}
-
-// send delivers a request and blocks until resumed.
-func (tc *ThreadContext) send(r request) resumeMsg {
+	tc.claim()
 	tc.req = r
-	tc.k.reqCh <- &tc.req
-	return tc.await()
+	return waitResult{}
 }
 
-// Exec consumes c cycles of CPU in thread context. The call returns when
-// the thread has actually accumulated that much execution, however long
-// that takes in virtual time under preemption.
+// claim enforces one operation per step call.
+func (tc *ThreadContext) claim() {
+	if tc.req.kind != reqNone {
+		panic("kernel: thread " + tc.t.Name + " made a second operation in one step")
+	}
+}
+
+// Exec consumes c cycles of CPU in thread context. The operation completes
+// when the thread has actually accumulated that much execution, however
+// long that takes in virtual time under preemption. Exec(0) completes
+// inline.
 func (tc *ThreadContext) Exec(c sim.Cycles) {
 	if c < 0 {
 		panic("kernel: negative exec")
 	}
-	if c == 0 {
-		// Nothing to run and nothing above thread level can be pending while
-		// the body holds the CPU (see call), so the scheduler pass a
-		// round trip would trigger provably resumes us unchanged.
-		return
-	}
-	tc.send(request{kind: reqExec, cycles: c})
+	tc.do(request{kind: reqExec, cycles: c})
 }
 
 // ExecDist draws a duration from d and executes it.
@@ -297,44 +311,29 @@ func (tc *ThreadContext) ExecRaised(irql IRQL, c sim.Cycles) {
 	if irql <= PassiveLevel || irql > HighLevel {
 		panic(fmt.Sprintf("kernel: ExecRaised at %v", irql))
 	}
-	tc.send(request{kind: reqRaisedExec, cycles: c, irql: irql})
+	tc.do(request{kind: reqRaisedExec, cycles: c, irql: irql})
 }
 
 // call runs fn in kernel context at the current instant (used to build the
 // Ke*/Io* wrappers below; fn must not block).
 //
-// While a thread body runs, the kernel goroutine is parked inside serveOne
-// and virtual time stands still, so the body has exclusive access to all
-// kernel state and fn can execute right here — no scheduler round trip.
-// The round trip is only needed when fn made work runnable above thread
-// level (asserted an interrupt, queued a DPC, injected an episode, readied
-// a higher-priority thread): exactly the set the dispatch loop would admit
-// before resuming this body, and nothing else can have changed, because
-// nothing but this body runs between its own requests. Any maybeRun that
-// fn triggers is a no-op either way — the kernel goroutine parked inside
-// the dispatch loop, so the re-entrancy guard holds.
+// While a thread body runs, virtual time stands still and nothing else
+// touches kernel state, so fn executes right here, at the body's instant,
+// with no dispatch pass; only the operation is recorded, and fn is never
+// stored, so the closures of the wrappers below stay off the heap. A pass
+// is only needed when fn made work runnable above thread level (asserted
+// an interrupt, queued a DPC, injected an episode, readied a
+// higher-priority thread): exactly the set the dispatch loop would admit
+// before the body continues (see mustYield). Any maybeRun that fn triggers
+// is a no-op either way — the body runs inside the dispatch loop, so the
+// re-entrancy guard holds.
 func (tc *ThreadContext) call(fn func()) {
-	tc.runKernelFn(fn)
-	k, t := tc.k, tc.t
-	if k.irqPending == 0 && len(k.dpcQ) == 0 && len(k.episodes) == 0 &&
-		k.bestReadyPriority() <= t.priority {
+	if tc.body != nil {
+		tc.body.call(tc, fn)
 		return
 	}
-	tc.send(request{kind: reqYield})
-}
-
-// runKernelFn executes an inlined kernel-context closure, re-raising any
-// panic on the kernel goroutine so bug checks keep surfacing through the
-// engine. The offending goroutine then parks like any bug-checked thread
-// (Shutdown still unwinds it).
-func (tc *ThreadContext) runKernelFn(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			tc.req = request{kind: reqPanic, pv: r}
-			tc.k.reqCh <- &tc.req
-			tc.await()
-		}
-	}()
+	tc.claim()
+	tc.req.kind = reqCall
 	fn()
 }
 
@@ -347,14 +346,9 @@ func (tc *ThreadContext) Do(fn func()) { tc.call(fn) }
 //
 // A wait an initial poll satisfies never blocks, and poll side effects
 // (auto-reset clear, semaphore decrement, mutex acquire) make nothing
-// runnable, so by the same exclusive-access argument as call the
-// scheduler round trip is skipped entirely. beginWait runs the identical
-// poll first, so the observable effect sequence is unchanged.
+// runnable, so by the same argument as call it completes inline.
 func (tc *ThreadContext) Wait(obj Waitable) WaitStatus {
-	if obj != nil && obj.poll(tc.t) {
-		return WaitSuccess
-	}
-	return tc.send(request{kind: reqWait, obj: obj, timeout: -1}).status
+	return tc.do(request{kind: reqWait, obj: obj, timeout: -1}).status
 }
 
 // WaitAny blocks until any of the objects is signaled
@@ -365,13 +359,7 @@ func (tc *ThreadContext) WaitAny(objs ...Waitable) int {
 	if len(objs) == 0 {
 		panic("kernel: WaitAny with no objects")
 	}
-	for i, o := range objs {
-		if o.poll(tc.t) { // same first-signaled-wins order as beginWaitAny
-			return i
-		}
-	}
-	msg := tc.send(request{kind: reqWaitAny, objs: objs, timeout: -1})
-	return msg.index
+	return tc.do(request{kind: reqWaitAny, objs: objs, timeout: -1}).index
 }
 
 // WaitAnyTimeout is WaitAny with a timeout; index is -1 on timeout.
@@ -382,35 +370,29 @@ func (tc *ThreadContext) WaitAnyTimeout(d sim.Cycles, objs ...Waitable) (int, Wa
 	if d < 0 {
 		panic("kernel: negative wait timeout")
 	}
-	for i, o := range objs {
-		if o.poll(tc.t) {
-			return i, WaitSuccess
-		}
+	r := tc.do(request{kind: reqWaitAny, objs: objs, timeout: d})
+	if r.status == WaitTimedOut {
+		return -1, r.status
 	}
-	msg := tc.send(request{kind: reqWaitAny, objs: objs, timeout: d})
-	if msg.status == WaitTimedOut {
-		return -1, msg.status
-	}
-	return msg.index, msg.status
+	return r.index, r.status
 }
 
-// WaitTimeout blocks until obj is signaled or d cycles elapse.
+// WaitTimeout blocks until obj is signaled or d cycles elapse. A poll that
+// succeeds completes the wait before the timeout is ever armed.
 func (tc *ThreadContext) WaitTimeout(obj Waitable, d sim.Cycles) WaitStatus {
 	if d < 0 {
 		panic("kernel: negative wait timeout")
 	}
-	if obj != nil && obj.poll(tc.t) {
-		return WaitSuccess // satisfied before the timeout is ever armed
-	}
-	return tc.send(request{kind: reqWait, obj: obj, timeout: d}).status
+	return tc.do(request{kind: reqWait, obj: obj, timeout: d}).status
 }
 
-// Sleep blocks the thread for d cycles (KeDelayExecutionThread).
+// Sleep blocks the thread for d cycles (KeDelayExecutionThread). Sleep(0)
+// yields: the thread goes to the back of its ready queue.
 func (tc *ThreadContext) Sleep(d sim.Cycles) {
 	if d < 0 {
 		panic("kernel: negative sleep")
 	}
-	tc.send(request{kind: reqWait, obj: nil, timeout: d})
+	tc.do(request{kind: reqWait, obj: nil, timeout: d})
 }
 
 // SetEvent signals an event from thread context (KeSetEvent).

@@ -11,9 +11,6 @@ import "wdmlat/internal/sim"
 type WorkItem struct {
 	Name   string
 	Cycles sim.Cycles
-	// Fn, if non-nil, runs in the worker thread's context after the cost
-	// has been executed.
-	Fn func(tc *ThreadContext)
 }
 
 // QueueWorkItem appends w to the work queue and wakes the worker. Safe to
@@ -33,25 +30,33 @@ func (k *Kernel) WorkQueueLen() int { return len(k.workQ) }
 // Worker returns the worker thread (available after Boot).
 func (k *Kernel) Worker() *Thread { return k.worker }
 
-// workerBody is the ExWorkerThread main loop.
-func (k *Kernel) workerBody(tc *ThreadContext) {
-	for {
-		tc.Wait(k.workSem)
-		var w *WorkItem
-		tc.call(func() {
-			if len(k.workQ) > 0 {
-				w = k.workQ[0]
-				k.workQ = k.workQ[1:]
-			}
-		})
-		if w == nil {
-			continue
-		}
-		if w.Cycles > 0 {
+// workerStep is the ExWorkerThread step body: wait on the work semaphore,
+// pop one item, execute its cost, and wait again. workerWoke is its
+// program counter: set while the semaphore wait is in flight. The pop runs
+// in the step itself, because a resumed body holds the CPU with nothing
+// runnable above it and a pop readies nothing.
+func (k *Kernel) workerStep(tc *ThreadContext) {
+	if k.workerWoke {
+		k.workerWoke = false
+		if w := k.popWork(); w != nil && w.Cycles > 0 {
 			tc.Exec(w.Cycles)
-		}
-		if w.Fn != nil {
-			w.Fn(tc)
+			return
 		}
 	}
+	k.workerWoke = true
+	tc.Wait(k.workSem)
+}
+
+// popWork removes and returns the head of the work queue, or nil. The
+// remainder shifts down in place and the vacated slot is cleared, so the
+// queue keeps its capacity and pins no finished item.
+func (k *Kernel) popWork() *WorkItem {
+	if len(k.workQ) == 0 {
+		return nil
+	}
+	w := k.workQ[0]
+	n := copy(k.workQ, k.workQ[1:])
+	k.workQ[n] = nil
+	k.workQ = k.workQ[:n]
+	return w
 }

@@ -156,13 +156,16 @@ func (t *Tool) driverEntry(drv *wdm.Driver) error {
 	drv.MajorRead = t.latRead
 
 	for _, p := range []int{t.opts.HighPriority, t.opts.MediumPriority} {
-		p := p
 		t.events[p] = drv.KeCreateEvent(fmt.Sprintf("gEvent%d", p), kernel.SynchronizationEvent)
 		t.hThread[p] = stats.NewHistogram(t.k.CPU().Freq())
 		t.hHwToThread[p] = stats.NewHistogram(t.k.CPU().Freq())
-		drv.PsCreateSystemThread(fmt.Sprintf("LatThread%d", p), func(tc *kernel.ThreadContext) {
-			t.latThreadFunc(tc, p)
-		})
+		lt := &latThread{
+			t:         t,
+			priority:  p,
+			ev:        t.events[p],
+			completer: p == t.opts.MediumPriority,
+		}
+		drv.PsCreateSystemThread(fmt.Sprintf("LatThread%d", p), lt.step)
 	}
 
 	if t.opts.HookTimerISR {
@@ -251,37 +254,71 @@ func (t *Tool) firingTick() sim.Time {
 	return t.pit.FirstTickAtOrAfter(t.due)
 }
 
-// latThreadFunc is the measurement thread body (§2.2.4): raise to the
-// target priority, then loop waiting on the event, timestamping each
-// wakeup. The medium-priority thread completes the IRP, which makes the
-// control application compute the cycle's results and issue the next read.
-func (t *Tool) latThreadFunc(tc *kernel.ThreadContext, priority int) {
-	tc.SetPriority(priority)
-	ev := t.events[priority]
-	completer := priority == t.opts.MediumPriority
-	for {
-		tc.Wait(ev)
+// latThread is one measurement thread (§2.2.4): raise to the target
+// priority, then loop waiting on the event, timestamping each wakeup. The
+// medium-priority thread completes the IRP, upon which the control
+// application computes the cycle's results and starts the next read.
+type latThread struct {
+	t         *Tool
+	priority  int
+	ev        *kernel.Event
+	completer bool
+
+	pc  latPC
+	tsc sim.Time // wakeup timestamp of the cycle in flight
+}
+
+// latPC is a latThread's program counter: the operation its next step
+// makes.
+type latPC int
+
+const (
+	latRaise    latPC = iota // KeSetPriorityThread
+	latWait                  // KeWaitForSingleObject on the event
+	latWoke                  // timestamp the wakeup, run the thread's own cost
+	latComplete              // complete the IRP (medium thread only)
+)
+
+// step is LatThreadFunc as a step body (see kernel.ThreadContext).
+func (lt *latThread) step(tc *kernel.ThreadContext) {
+	t := lt.t
+	switch lt.pc {
+	case latRaise:
+		lt.pc = latWait
+		tc.SetPriority(lt.priority)
+	case latWait:
+		lt.pc = latWoke
+		tc.Wait(lt.ev)
+	case latWoke:
 		tsc := tc.Now()
+		lt.tsc = tsc
 		if lat := tsc.Sub(t.dpcTsc); lat >= 0 {
-			t.hThread[priority].Add(lat)
+			t.hThread[lt.priority].Add(lat)
 			if t.opts.OnThreadLatency != nil {
-				t.opts.OnThreadLatency(priority, lat)
+				t.opts.OnThreadLatency(lt.priority, lat)
 			}
 		}
 		// Table 3's end-to-end rows: estimated hardware interrupt → this
 		// thread's first instruction after the wait.
 		if lat := tsc.Sub(t.due); lat >= 0 {
-			t.hHwToThread[priority].Add(lat)
+			t.hHwToThread[lt.priority].Add(lat)
+		}
+		lt.pc = latWait
+		if lt.completer {
+			lt.pc = latComplete
 		}
 		tc.Exec(t.opts.ThreadCost)
-		if completer {
-			irp := t.inflight
-			t.inflight = nil
-			if irp != nil {
-				irp.ASB[2] = tsc
-				tc.CompleteIrp(irp)
-			}
+	case latComplete:
+		irp := t.inflight
+		t.inflight = nil
+		if irp != nil {
+			lt.pc = latWait
+			irp.ASB[2] = lt.tsc
+			tc.CompleteIrp(irp)
+			return
 		}
+		lt.pc = latWoke
+		tc.Wait(lt.ev)
 	}
 }
 

@@ -253,3 +253,29 @@ func TestInvalidPriorityOrdering(t *testing.T) {
 		t.Fatal("high <= medium should be rejected")
 	}
 }
+
+// TestThreadLatencyHookPanicReachesCaller: the measurement threads run on
+// the engine's goroutine, so a panic in the OnThreadLatency hook (which
+// the cause tool's cells wire up) unwinds to whoever drives the engine —
+// where the campaign runner's per-cell recover isolates it — instead of
+// killing the process from another goroutine.
+func TestThreadLatencyHookPanicReachesCaller(t *testing.T) {
+	m := newMachine(t, 1)
+	tool, err := latdriver.Install(m.k, m.pit, latdriver.Options{
+		OnThreadLatency: func(int, sim.Cycles) { panic("hook failed") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.eng.RunUntil(300_000_000)
+	}()
+	if got != "hook failed" {
+		t.Fatalf("recovered %v from the engine, want the hook's panic", got)
+	}
+}

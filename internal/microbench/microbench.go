@@ -91,20 +91,38 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 		ping := m.Kernel.NewEvent("mb.ping", kernel.SynchronizationEvent)
 		pong := m.Kernel.NewEvent("mb.pong", kernel.SynchronizationEvent)
 		var lastSet sim.Time
-		m.Kernel.CreateThread("mb.a", 20, func(tc *kernel.ThreadContext) {
-			for {
+		stamp := func() { lastSet = m.CPU.TSC() }
+		// Step bodies (see kernel.ThreadContext), each with its own
+		// program counter. a: wait for ping, record, stamp, set pong.
+		pcA := 0
+		m.Kernel.CreateStepThread("mb.a", 20, func(tc *kernel.ThreadContext) {
+			switch pcA {
+			case 0:
+				pcA = 1
 				tc.Wait(ping)
+			case 1:
 				if acc.n < iterations {
 					acc.add(us(tc.Now().Sub(lastSet)))
 				}
-				tc.Do(func() { lastSet = m.CPU.TSC() })
+				pcA = 2
+				tc.Do(stamp)
+			case 2:
+				pcA = 0
 				tc.SetEvent(pong)
 			}
 		})
-		m.Kernel.CreateThread("mb.b", 20, func(tc *kernel.ThreadContext) {
-			for {
-				tc.Do(func() { lastSet = m.CPU.TSC() })
+		// b: stamp, set ping, wait for pong.
+		pcB := 0
+		m.Kernel.CreateStepThread("mb.b", 20, func(tc *kernel.ThreadContext) {
+			switch pcB {
+			case 0:
+				pcB = 1
+				tc.Do(stamp)
+			case 1:
+				pcB = 2
 				tc.SetEvent(ping)
+			case 2:
+				pcB = 0
 				tc.Wait(pong)
 			}
 		})
@@ -119,14 +137,19 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 		var acc accumulator
 		ev := m.Kernel.NewEvent("mb.ev", kernel.SynchronizationEvent)
 		var setAt sim.Time
-		m.Kernel.CreateThread("mb.rt", 28, func(tc *kernel.ThreadContext) {
-			tc.SetPriority(28)
-			for {
-				tc.Wait(ev)
-				if acc.n < iterations {
-					acc.add(us(tc.Now().Sub(setAt)))
-				}
+		// A step body: raise, then wait and record per signal.
+		raised, woke := false, false
+		m.Kernel.CreateStepThread("mb.rt", 28, func(tc *kernel.ThreadContext) {
+			if !raised {
+				raised = true
+				tc.SetPriority(28)
+				return
 			}
+			if woke && acc.n < iterations {
+				acc.add(us(tc.Now().Sub(setAt)))
+			}
+			woke = true
+			tc.Wait(ev)
 		})
 		d := kernel.NewDPC("mb.dpc", kernel.MediumImportance, func(c *kernel.DpcContext) {
 			setAt = c.Now()

@@ -148,15 +148,8 @@ func Attach(k *kernel.Kernel, cfg Config) *Datapump {
 	})
 	if cfg.Modality == ThreadBased {
 		d.ev = k.NewEvent("softmodem.wake", kernel.SynchronizationEvent)
-		prio := cfg.ThreadPriority
-		d.thread = k.CreateThread("SoftModemPump", kernel.NormalPriority, func(tc *kernel.ThreadContext) {
-			tc.SetPriority(prio)
-			for {
-				tc.Wait(d.ev)
-				tc.Exec(d.compute)
-				tc.Do(d.produce)
-			}
-		})
+		pump := &pumpThread{prio: cfg.ThreadPriority, ev: d.ev, compute: &d.compute, finish: d.produce}
+		d.thread = k.CreateStepThread("SoftModemPump", kernel.NormalPriority, pump.step)
 	}
 	return d
 }
@@ -204,6 +197,46 @@ func (d *Datapump) pumpDpc(c *kernel.DpcContext) {
 		d.produce()
 	case ThreadBased:
 		c.SetEvent(d.ev)
+	}
+}
+
+// pumpThread is the thread modality's body, shared by the datapump and the
+// periodic task as a step body (see kernel.ThreadContext): raise to the
+// configured priority, then per release wait for the wake event, run the
+// compute, and finish the activation in kernel context.
+type pumpThread struct {
+	prio    int
+	ev      *kernel.Event
+	compute *sim.Cycles // read at each release
+	finish  func()
+	pc      pumpPC
+}
+
+// pumpPC is a pumpThread's program counter: the operation its next step
+// makes.
+type pumpPC int
+
+const (
+	pumpRaise pumpPC = iota
+	pumpWait
+	pumpCompute
+	pumpFinish
+)
+
+func (p *pumpThread) step(tc *kernel.ThreadContext) {
+	switch p.pc {
+	case pumpRaise:
+		p.pc = pumpWait
+		tc.SetPriority(p.prio)
+	case pumpWait:
+		p.pc = pumpCompute
+		tc.Wait(p.ev)
+	case pumpCompute:
+		p.pc = pumpFinish
+		tc.Exec(*p.compute) // Exec(0) completes inline
+	case pumpFinish:
+		p.pc = pumpWait
+		tc.Do(p.finish)
 	}
 }
 

@@ -67,17 +67,13 @@ func NewPeriodicTask(k *kernel.Kernel, name string, period, compute sim.Cycles, 
 	t.dpc = kernel.NewDPC("PERIODIC:"+name, kernel.MediumImportance, t.onRelease)
 	if m == ThreadBased {
 		t.ev = k.NewEvent(name+".wake", kernel.SynchronizationEvent)
-		prio := priority
-		t.thread = k.CreateThread(name, kernel.NormalPriority, func(tc *kernel.ThreadContext) {
-			tc.SetPriority(prio)
-			for {
-				tc.Wait(t.ev)
-				if t.Compute > 0 {
-					tc.Exec(t.Compute)
-				}
-				tc.Do(func() { t.complete(t.k.CPU().TSC()) })
-			}
-		})
+		pump := &pumpThread{
+			prio:    priority,
+			ev:      t.ev,
+			compute: &t.Compute,
+			finish:  func() { t.complete(t.k.CPU().TSC()) },
+		}
+		t.thread = k.CreateStepThread(name, kernel.NormalPriority, pump.step)
 	}
 	return t
 }

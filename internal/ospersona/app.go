@@ -37,10 +37,11 @@ type App struct {
 
 	// Per-op state plus the closures that consume it, bound once at app
 	// creation. Ops are executed millions of times per collection, so the
-	// run loop passes these stable funcs to tc.Do instead of constructing a
-	// capture per op.
-	op       Op  // current op, set by popFn
-	ioBytes  int // fileSync arguments for ioFn
+	// step body passes these stable funcs to tc.Do instead of constructing
+	// a capture per op.
+	pc       appPC // step's program counter
+	op       Op    // current op, set by popFn
+	ioBytes  int   // file operation in flight, for ioFn
 	ioWrite  bool
 	popFn    func()
 	finishFn func()
@@ -77,7 +78,7 @@ func (m *Machine) NewApp(name string) *App {
 	a.uiFn = a.m.UIEvent
 	a.ioDoneFn = func(c *kernel.DpcContext) { c.SetEvent(a.ioWait) }
 	a.ioFn = func() { a.m.FileOp(a.ioBytes, a.ioWrite, a.ioDoneFn) }
-	a.thread = m.Kernel.CreateThread(name, kernel.NormalPriority, a.run)
+	a.thread = m.Kernel.CreateStepThread(name, kernel.NormalPriority, a.step)
 	return a
 }
 
@@ -101,43 +102,104 @@ func (a *App) Pending() int { return len(a.queue) }
 // harnesses wait on it to time a script.
 func (a *App) IdleEvent() *kernel.Event { return a.idleEv }
 
-func (a *App) run(tc *kernel.ThreadContext) {
+// appPC is an App's program counter: the stage its next step runs. The
+// stages of one op follow in order; a stage whose field is zero makes no
+// operation and falls through to the next.
+type appPC int
+
+const (
+	appWait    appPC = iota // wait for a submitted op
+	appPop                  // take it off the queue
+	appFault                // page-fault burst
+	appUI                   // UI event ...
+	appPump                 // ... and its message-pump handling
+	appThink                // user think time
+	appCompute              // compute
+	appRead                 // synchronous read
+	appWrite                // synchronous write
+	appIOWait               // wait for the disk DPC to signal completion
+	appIOCopy               // copy to or from the user buffer
+	appFinish               // count the op done
+)
+
+// step is the app thread's step body (see kernel.ThreadContext): wait for
+// an op, pop it, run its stages, finish it, forever.
+func (a *App) step(tc *kernel.ThreadContext) {
 	for {
-		tc.Wait(a.sem)
-		tc.Do(a.popFn)
-		a.exec(tc)
-		tc.Do(a.finishFn)
+		switch a.pc {
+		case appWait:
+			a.pc = appPop
+			tc.Wait(a.sem)
+			return
+		case appPop:
+			a.pc = appFault
+			tc.Do(a.popFn)
+			return
+		case appFault:
+			a.pc = appUI
+			if a.op.PageFaultPages > 0 {
+				tc.Do(a.pfFn)
+				return
+			}
+		case appUI:
+			a.pc = appThink
+			if a.op.UI {
+				a.pc = appPump
+				tc.Do(a.uiFn)
+				return
+			}
+		case appPump:
+			a.pc = appThink
+			tc.Exec(a.m.MS(0.05)) // message pump handling
+			return
+		case appThink:
+			a.pc = appCompute
+			if a.op.ThinkMS > 0 {
+				tc.Sleep(a.m.MS(a.op.ThinkMS))
+				return
+			}
+		case appCompute:
+			a.pc = appRead
+			if a.op.Compute > 0 {
+				tc.Exec(a.op.Compute)
+				return
+			}
+		case appRead:
+			a.pc = appWrite
+			if a.op.ReadBytes > 0 {
+				a.fileOp(tc, a.op.ReadBytes, false)
+				return
+			}
+		case appWrite:
+			a.pc = appFinish
+			if a.op.WriteBytes > 0 {
+				a.fileOp(tc, a.op.WriteBytes, true)
+				return
+			}
+		case appIOWait:
+			a.pc = appIOCopy
+			tc.Wait(a.ioWait)
+			return
+		case appIOCopy:
+			a.pc = appWrite
+			if a.ioWrite {
+				a.pc = appFinish
+			}
+			tc.Exec(sim.Cycles(a.ioBytes/64) + 2000) // copy to user buffer
+			return
+		case appFinish:
+			a.pc = appWait
+			tc.Do(a.finishFn)
+			return
+		}
 	}
 }
 
-func (a *App) exec(tc *kernel.ThreadContext) {
-	op := a.op
-	if op.PageFaultPages > 0 {
-		tc.Do(a.pfFn)
-	}
-	if op.UI {
-		tc.Do(a.uiFn)
-		tc.Exec(a.m.MS(0.05)) // message pump handling
-	}
-	if op.ThinkMS > 0 {
-		tc.Sleep(a.m.MS(op.ThinkMS))
-	}
-	if op.Compute > 0 {
-		tc.Exec(op.Compute)
-	}
-	if op.ReadBytes > 0 {
-		a.fileSync(tc, op.ReadBytes, false)
-	}
-	if op.WriteBytes > 0 {
-		a.fileSync(tc, op.WriteBytes, true)
-	}
-}
-
-// fileSync performs a blocking file operation: submit through the machine's
-// file-system path and wait for the disk DPC to signal completion.
-func (a *App) fileSync(tc *kernel.ThreadContext, bytes int, write bool) {
+// fileOp starts a blocking file operation: submit it through the
+// machine's file-system path; the next stages wait for the disk DPC to
+// signal completion and copy the data.
+func (a *App) fileOp(tc *kernel.ThreadContext, bytes int, write bool) {
 	a.ioBytes, a.ioWrite = bytes, write
+	a.pc = appIOWait
 	tc.Do(a.ioFn)
-	tc.Wait(a.ioWait)
-	tc.Exec(sim.Cycles(bytes/64) + 2000) // copy to user buffer
 }

@@ -16,10 +16,24 @@ type audioPipeline struct {
 	ev       *kernel.Event
 	thread   *kernel.Thread
 	mixCost  sim.Dist
+	mixPrio  int
+	refill   func()
+	pc       mixPC // mixStep's program counter
 	running  bool
 	signaled uint64
 	mixes    uint64
 }
+
+// mixPC is the mixer thread's program counter: the operation its next
+// step makes.
+type mixPC int
+
+const (
+	mixRaise  mixPC = iota // raise to the mixing priority
+	mixWait                // wait for the buffer-complete DPC
+	mixMix                 // compute the next buffer
+	mixRefill              // hand it back to the hardware
+)
 
 // AudioConfig configures StartAudio.
 type AudioConfig struct {
@@ -64,23 +78,33 @@ func (m *Machine) StartAudio(cfg AudioConfig) {
 		m:       m,
 		ev:      m.Kernel.NewEvent("KMixer.wake", kernel.SynchronizationEvent),
 		mixCost: cfg.MixCost,
+		mixPrio: cfg.MixPriority,
+		refill:  m.Sound.Refill, // bind the method value once, not per buffer
 		running: true,
 	}
 	m.audio = a
-
-	prio := cfg.MixPriority
-	refill := m.Sound.Refill // bind the method value once, not per buffer
-	a.thread = m.Kernel.CreateThread("KMixer", kernel.NormalPriority, func(tc *kernel.ThreadContext) {
-		tc.SetPriority(prio)
-		for {
-			tc.Wait(a.ev)
-			tc.ExecDist(a.mixCost)
-			a.mixes++
-			// Hand the mixed buffer back to the hardware.
-			tc.Do(refill)
-		}
-	})
+	a.thread = m.Kernel.CreateStepThread("KMixer", kernel.NormalPriority, a.mixStep)
 	m.Sound.Start(m.MS(cfg.PeriodMS))
+}
+
+// mixStep is the KMixer thread's step body (see kernel.ThreadContext):
+// raise to the mixing priority, then per buffer wait, mix, and refill.
+func (a *audioPipeline) mixStep(tc *kernel.ThreadContext) {
+	switch a.pc {
+	case mixRaise:
+		a.pc = mixWait
+		tc.SetPriority(a.mixPrio)
+	case mixWait:
+		a.pc = mixMix
+		tc.Wait(a.ev)
+	case mixMix:
+		a.pc = mixRefill
+		tc.ExecDist(a.mixCost)
+	case mixRefill:
+		a.mixes++
+		a.pc = mixWait
+		tc.Do(a.refill) // hand the mixed buffer back to the hardware
+	}
 }
 
 // onBufferComplete runs in the sound DPC on every buffer-complete

@@ -145,7 +145,8 @@ func Build(os OS, opts Options) *Machine {
 	return m
 }
 
-// Shutdown unwinds the machine's thread goroutines. Call when done.
+// Shutdown ends the machine's kernel threads (see kernel.Kernel.Shutdown).
+// Call when done.
 func (m *Machine) Shutdown() { m.Kernel.Shutdown() }
 
 // RunFor advances the machine by d cycles of virtual time.

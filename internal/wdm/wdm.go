@@ -99,11 +99,12 @@ func (d *Driver) KeSetTimer(t *kernel.Timer, delayTicks int, dpc *kernel.DPC) {
 	d.k.SetTimer(t, sim.Cycles(delayTicks)*d.k.TickPeriod(), dpc)
 }
 
-// PsCreateSystemThread creates a kernel-mode thread at the default priority;
-// the thread body typically raises its own priority via
+// PsCreateSystemThread creates a kernel-mode thread at the default priority
+// whose body is the step function step (see kernel.ThreadContext for the
+// step contract); the thread body typically raises its own priority via
 // KeSetPriorityThread, as LatThreadFunc does (§2.2.4).
-func (d *Driver) PsCreateSystemThread(name string, fn func(tc *kernel.ThreadContext)) *kernel.Thread {
-	return d.k.CreateThread(d.name+"."+name, kernel.NormalPriority, fn)
+func (d *Driver) PsCreateSystemThread(name string, step func(tc *kernel.ThreadContext)) *kernel.Thread {
+	return d.k.CreateStepThread(d.name+"."+name, kernel.NormalPriority, step)
 }
 
 // IoCompleteRequest completes an IRP back to the control application.

@@ -147,8 +147,13 @@ func TestKeSetTimerValidation(t *testing.T) {
 func TestPsCreateSystemThreadStartsAtNormalPriority(t *testing.T) {
 	eng, k := newKernel(t)
 	var prio int
+	raised := false
 	drv, _ := wdm.Load(k, "THR", func(d *wdm.Driver) error {
 		d.PsCreateSystemThread("worker", func(tc *kernel.ThreadContext) {
+			if raised {
+				return // second call: end the thread
+			}
+			raised = true
 			prio = tc.Thread().Priority()
 			tc.SetPriority(24)
 		})

@@ -35,7 +35,9 @@ DIR=results-horde-smoke
 ADDR=127.0.0.1:8473
 URL=http://$ADDR
 SEED=3
-DURATION=60s
+# Cells must outlast a worker's 1 s lease expiry and re-dispatch, so that
+# leases are still outstanding when step 4 kills the coordinator.
+DURATION=150s
 WORKERS=4
 DOWNTIME=${DOWNTIME:-16}
 
