@@ -19,7 +19,7 @@ NEW  ?= bench-new.json
 # coverage grows, never lower it to make a failure go away.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults bench-harness cover determinism smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
+.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults bench-harness cover determinism record-check smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
 
 all: check
 
@@ -27,13 +27,23 @@ check: lint build test race substrate failure-paths service fleet-faults bench-h
 
 # lint: formatting is enforced, not advisory — gofmt drift fails the gate,
 # and go vet runs under the same umbrella so `make lint` is the one cheap
-# static pass CI and pre-commit hooks share.
+# static pass CI and pre-commit hooks share. The docs guard fails when a
+# tracked Markdown file that describes the current tree names a cmd/<name>
+# directory that does not exist; the change log and the planning notes at
+# the root record past and planned changes, so they may name tools that
+# are gone and are left out of the guard.
 lint:
 	@drift=$$(gofmt -l .); if [ -n "$$drift" ]; then \
 		echo "gofmt drift in:"; echo "$$drift"; exit 1; fi
 	@tracked=$$(git ls-files -- 'cover.out' '*.out' 'bench-new.json' 2>/dev/null || true); \
 	if [ -n "$$tracked" ]; then \
 		echo "generated coverage/bench artifacts are committed:"; echo "$$tracked"; exit 1; fi
+	@stale=$$(git ls-files -z -- README.md DESIGN.md EXPERIMENTS.md ROADMAP.md \
+		PAPER.md PAPERS.md SNIPPETS.md '*/*.md' 2>/dev/null | \
+		xargs -0 -r grep -ohE 'cmd/[A-Za-z0-9_-]+' | sort -u | \
+		while read -r d; do [ -d "$$d" ] || echo "$$d"; done); \
+	if [ -n "$$stale" ]; then \
+		echo "Markdown names cmd/ directories that do not exist:"; echo "$$stale"; exit 1; fi
 	$(GO) vet ./...
 
 vet:
@@ -139,6 +149,23 @@ determinism:
 	diff -r results-determinism/adp1 results-determinism/adp8
 	@echo "determinism: streams byte-identical across -jobs, warm store, and adaptive mode"
 	rm -rf results-determinism
+
+# record-check: the published record as a gate — regenerate both records
+# with the flags results/README.md names and diff them against results/
+# (its README.md aside). `make determinism` only compares runs of one build
+# with each other; this catches code, toolchain or platform drift from the
+# committed bytes. results-record-check is removed on success and left
+# behind on failure for the post-mortem.
+record-check:
+	rm -rf results-record-check
+	mkdir -p results-record-check
+	$(GO) build -o results-record-check/reproduce ./cmd/reproduce
+	$(GO) build -o results-record-check/stormsweep ./cmd/stormsweep
+	results-record-check/reproduce -duration 30m -runs 3 -seed 3 -outdir results-record-check/record
+	results-record-check/stormsweep -duration 60s -runs 3 -seed 7 -outdir results-record-check/record
+	diff -r -x README.md results results-record-check/record
+	@echo "record-check: both records byte-identical to results/"
+	rm -rf results-record-check
 
 # smoke: a fast end-to-end pass of the full reproduction pipeline on the
 # parallel campaign runner, with the observability surface on: progress to
@@ -248,4 +275,4 @@ reproduce:
 	$(GO) run ./cmd/reproduce -duration 30m -runs 3
 
 clean:
-	rm -rf results-smoke results-resume-smoke results-serve-smoke results-horde-smoke results-determinism cover.out bench-new.json latserved-cache latworkd-cache
+	rm -rf results-smoke results-resume-smoke results-serve-smoke results-horde-smoke results-storm-smoke results-record-check results-determinism cover.out bench-new.json latserved-cache latworkd-cache

@@ -2,7 +2,7 @@
 // ablation benches for the design choices DESIGN.md §7 calls out and
 // substrate microbenchmarks. Each experiment bench runs a short virtual
 // collection per iteration and reports the headline quantity as a custom
-// metric; the cmd/ tools run the same pipelines at full length.
+// metric; cmd/reproduce runs the same pipelines at full length.
 package wdmlat_test
 
 import (

@@ -15,6 +15,6 @@
 //     stress workloads, and the soft-modem / schedulability analyses.
 //
 // See DESIGN.md for the system inventory and per-experiment index,
-// EXPERIMENTS.md for paper-vs-measured results, and the cmd/ tools for
+// EXPERIMENTS.md for paper-vs-measured results, and cmd/reproduce for
 // regenerating every table and figure.
 package wdmlat

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,11 @@ func TestCauseNMIWorksOnNT(t *testing.T) {
 	if len(r.Episodes) == 0 {
 		t.Fatal("NMI cause tool captured nothing on NT")
 	}
+	var first strings.Builder
+	if err := r.Episodes[0].Format(&first); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d episodes; the first:\n%s", len(r.Episodes), first.String())
 	sawWorker := false
 	for _, ep := range r.Episodes {
 		for _, fc := range ep.Analysis() {

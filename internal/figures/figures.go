@@ -1,7 +1,7 @@
 // Package figures builds the paper's tables and figures from experiment
-// results, as renderable report structures. The cmd/ tools and the one-shot
-// cmd/reproduce orchestrator share these builders, so every artifact has
-// exactly one construction path.
+// results, as renderable report structures. cmd/reproduce builds every
+// artifact through them, so every artifact has exactly one construction
+// path.
 package figures
 
 import (

@@ -249,17 +249,14 @@ func (m *Mutex) release(t *Thread) {
 	}
 }
 
-// wakeThread transitions a waiting thread to ready (single-object waits
-// and timer wakes).
-func (k *Kernel) wakeThread(t *Thread, status WaitStatus) {
-	k.wakeThreadFrom(nil, t, status)
-}
-
 // wakeThreadFrom transitions a waiting thread to ready, recording the
 // ground-truth "readied" timestamp from which thread latency is defined
 // (paper §2.1: the delay from the signal until the thread's first
 // instruction after the wait). src identifies the satisfying object for
-// multi-object waits; the thread is deregistered from the others.
+// multi-object waits, and the wait reports its first position in the set.
+// src has already dequeued the registration that woke the thread; every
+// other one goes, including the extra registrations of a set that names
+// src more than once.
 func (k *Kernel) wakeThreadFrom(src Waitable, t *Thread, status WaitStatus) {
 	if t.state != threadWaiting {
 		panic("kernel: waking thread " + t.Name + " in state " + t.state.String())
@@ -269,11 +266,11 @@ func (k *Kernel) wakeThreadFrom(src Waitable, t *Thread, status WaitStatus) {
 		t.waitTimeoutEv = nil
 	}
 	t.waitObj = nil
-	idx := 0
+	idx, found := 0, false
 	if t.waitAny != nil {
 		for i, o := range t.waitAny {
-			if o == src {
-				idx = i
+			if o == src && !found {
+				idx, found = i, true
 				continue
 			}
 			o.removeWaiter(t)

@@ -285,14 +285,11 @@ func genProgram(rng *sim.RNG, name string) threadProg {
 			in.obj = rng.Intn(diffEvents + diffSems)
 			in.cycles = sim.Cycles(rng.Intn(400_000))
 		case progWaitAny, progWaitAnyTimeout:
-			// Distinct objects: a set that names one object twice would
-			// register the thread twice on it.
-			perm := []int{0, 1, 2, 3, 4, 5}
-			for j := len(perm) - 1; j > 0; j-- {
-				r := rng.Intn(j + 1)
-				perm[j], perm[r] = perm[r], perm[j]
+			// Drawn independently, so a set may name one object more
+			// than once and register the thread on it repeatedly.
+			for j := 1 + rng.Intn(3); j > 0; j-- {
+				in.objs = append(in.objs, rng.Intn(diffEvents+diffSems))
 			}
-			in.objs = perm[:1+rng.Intn(3)]
 			in.cycles = sim.Cycles(rng.Intn(400_000))
 		case progSleep:
 			if !rng.Bool(0.3) {

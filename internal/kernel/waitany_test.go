@@ -78,6 +78,48 @@ func TestWaitAnyDeregistersFromLosers(t *testing.T) {
 	}
 }
 
+// TestWaitAnyRepeatedObject: a set that names one object twice registers
+// the thread on it twice. A wake through that object must report its first
+// position and drop every registration, and so must a timeout, or a later
+// signal on the object wakes the thread out of an unrelated wait.
+func TestWaitAnyRepeatedObject(t *testing.T) {
+	b := newBench(t, 1, false)
+	ev := b.k.NewEvent("ev", kernel.SynchronizationEvent)
+	other := b.k.NewEvent("other", kernel.SynchronizationEvent)
+	idx, strayWake := -1, false
+	b.k.CreateThread("w", 20, func(tc *kernel.ThreadContext) {
+		idx = tc.WaitAny(ev, other, ev)
+		tc.Wait(other) // other is never set
+		strayWake = true
+	})
+	b.eng.At(10_000, "ev", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(20_000, "ev2", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.RunUntil(1_000_000)
+	if idx != 0 {
+		t.Errorf("index = %d, want 0 (the object's first position in the set)", idx)
+	}
+	if strayWake {
+		t.Error("Wait(other) returned though other was never set: a stale registration on ev woke it")
+	}
+	if !ev.Signaled() {
+		t.Error("the second SetEvent(ev) should latch: no waiter is left on ev")
+	}
+
+	timedOut := b.k.NewEvent("timedOut", kernel.SynchronizationEvent)
+	var st kernel.WaitStatus
+	b.k.CreateThread("t", 20, func(tc *kernel.ThreadContext) {
+		_, st = tc.WaitAnyTimeout(50_000, timedOut, timedOut)
+	})
+	b.eng.RunUntil(2_000_000)
+	if st != kernel.WaitTimedOut {
+		t.Fatalf("status = %v, want timeout", st)
+	}
+	b.k.SetEvent(timedOut)
+	if !timedOut.Signaled() {
+		t.Error("a registration left by the timed-out wait consumed the signal")
+	}
+}
+
 func TestWaitAnyTimeout(t *testing.T) {
 	b := newBench(t, 1, false)
 	a := b.k.NewEvent("a", kernel.SynchronizationEvent)
