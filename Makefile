@@ -2,8 +2,9 @@
 # with the race detector (the campaign worker pool runs simulations
 # concurrently, one goroutine per machine with its kernel threads as step
 # bodies on it, so races are a first-class failure mode, not a theoretical
-# one), plus the event-heap oracle, the step-body differential test and the
-# steady-state allocation tests that guard the pooled substrate.
+# one), plus the event-heap oracle, the step-body differential test, the
+# episode-order test and the steady-state allocation tests that guard the
+# pooled substrate and the storm.
 
 GO ?= go
 
@@ -58,16 +59,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the pooled-event-heap oracle property test and the kernel's
+# substrate: the pooled-event-heap oracle property test, the kernel's
 # step-body differential test (random thread programs as step bodies
-# against the blocking CreateThread reference) under -race, plus the
-# zero-allocation tests without -race (AllocsPerRun is meaningless under
-# the race detector's instrumented allocator, so those tests skip themselves
-# there and must also run uninstrumented).
+# against the blocking CreateThread reference) and its episode-order test
+# (the per-kind episode queues against a model of one pending list) under
+# -race, plus the zero-allocation tests without -race: the engine's
+# (AllocsPerRun is meaningless under the race detector's instrumented
+# allocator, so those tests skip themselves there and must also run
+# uninstrumented) and the interrupt storm's, which counts heap allocations
+# per offered packet in steady state.
 substrate:
 	$(GO) test -race -run 'TestWheelMatchesReferenceEngine|TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary' ./internal/sim/
-	$(GO) test -race -run 'TestStepBodiesMatchBlockingReference' ./internal/kernel/
+	$(GO) test -race -run 'TestStepBodiesMatchBlockingReference|TestEpisodeQueuesKeepAdmissionOrder' ./internal/kernel/
 	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree' ./internal/sim/
+	$(GO) test -run 'TestStormSteadyStateAllocFree' ./internal/workload/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume

@@ -79,5 +79,4 @@ type pendingEpisode struct {
 	frame     cpu.Frame
 	label     string
 	doneLabel string
-	since     sim.Time
 }

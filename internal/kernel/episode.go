@@ -51,12 +51,13 @@ func (e EpisodeKind) level() int {
 // InjectEpisode requests an overhead episode of the given kind and length,
 // attributed to module/function (what the cause tool will sample if it
 // catches the episode on-CPU). The episode starts as soon as the CPU
-// occupancy level drops below the episode's level; episodes of equal level
+// occupancy level drops below the episode's level; episodes of one kind
 // queue FIFO.
 func (k *Kernel) InjectEpisode(kind EpisodeKind, duration sim.Cycles, module, function string) {
 	if duration <= 0 {
 		return
 	}
+	q := &k.maskQ
 	switch kind {
 	case MaskInterrupts:
 		if duration > k.counters.MaxMaskEpisode {
@@ -66,6 +67,7 @@ func (k *Kernel) InjectEpisode(kind EpisodeKind, duration sim.Cycles, module, fu
 		if duration > k.counters.MaxLockEpisode {
 			k.counters.MaxLockEpisode = duration
 		}
+		q = &k.lockQ
 	}
 	lbl := k.episodeLabels(module, function)
 	ep := k.newEpisode()
@@ -74,27 +76,45 @@ func (k *Kernel) InjectEpisode(kind EpisodeKind, duration sim.Cycles, module, fu
 	ep.frame = cpu.Frame{Module: module, Function: function}
 	ep.label = lbl.label
 	ep.doneLabel = lbl.doneLabel
-	ep.since = k.now()
-	k.episodes = append(k.episodes, ep)
+	q.push(ep)
 	k.maybeRun()
 }
 
 // PendingEpisodes returns the number of episodes waiting to start.
-func (k *Kernel) PendingEpisodes() int { return len(k.episodes) }
+func (k *Kernel) PendingEpisodes() int { return k.maskQ.len() + k.lockQ.len() }
 
-// takeEpisode removes and returns the first pending episode with exactly
-// the given level, provided that level exceeds top.
-func (k *Kernel) takeEpisode(top, level int) *pendingEpisode {
-	if level <= top {
-		return nil
+// episodeQueue is the FIFO of one kind's pending episodes. Starting an
+// episode advances head instead of re-slicing the base away; push compacts
+// the live window back to the base once the backing fills and at least half
+// of it has started, so a livelocked machine, whose scheduler-lock backlog
+// never drains, keeps a backing bounded by its peak backlog at O(1)
+// amortized cost per episode. Stale slots pin nothing: the records are
+// pooled on the kernel for its whole life.
+type episodeQueue struct {
+	q    []*pendingEpisode
+	head int
+}
+
+func (e *episodeQueue) len() int { return len(e.q) - e.head }
+
+func (e *episodeQueue) push(ep *pendingEpisode) {
+	if len(e.q) == cap(e.q) && 2*e.head >= len(e.q) {
+		e.q = e.q[:copy(e.q, e.q[e.head:])]
+		e.head = 0
 	}
-	for i, ep := range k.episodes {
-		if ep.level == level {
-			k.episodes = append(k.episodes[:i], k.episodes[i+1:]...)
-			return ep
-		}
+	e.q = append(e.q, ep)
+}
+
+// pop removes and returns the oldest pending episode; the queue must be
+// non-empty.
+func (e *episodeQueue) pop() *pendingEpisode {
+	ep := e.q[e.head]
+	e.head++
+	if e.head == len(e.q) {
+		e.q = e.q[:0]
+		e.head = 0
 	}
-	return nil
+	return ep
 }
 
 // startEpisode pushes a pending episode onto the occupancy stack.

@@ -121,7 +121,8 @@ type Kernel struct {
 
 	// CPU occupancy above thread level.
 	stack    []*activity
-	episodes []*pendingEpisode
+	maskQ    episodeQueue      // pending MaskInterrupts episodes
+	lockQ    episodeQueue      // pending LockScheduler episodes
 	actFree  []*activity       // recycled activity records
 	epFree   []*pendingEpisode // recycled pending-episode records
 	irpFree  []*IRP            // recycled request packets (FreeIRP)
@@ -262,16 +263,12 @@ func (k *Kernel) maybeRun() {
 				continue
 			}
 		}
-		if len(k.episodes) > 0 {
-			// 2. Interrupt-masked overhead episode? Admitted only when no
-			// ISR is in flight: masked windows originate in thread/DPC-
-			// context code, not inside other interrupt handlers.
-			if top < levelIsrBase {
-				if ep := k.takeEpisode(top, levelIntMask); ep != nil {
-					k.startEpisode(ep)
-					continue
-				}
-			}
+		// 2. Interrupt-masked overhead episode? Admitted only when no
+		// ISR is in flight: masked windows originate in thread/DPC-
+		// context code, not inside other interrupt handlers.
+		if top < levelIsrBase && k.maskQ.len() > 0 {
+			k.startEpisode(k.maskQ.pop())
+			continue
 		}
 		// 3. DPC drain (DPCs cannot preempt DPCs, so only when below
 		// dispatch level)?
@@ -279,12 +276,12 @@ func (k *Kernel) maybeRun() {
 			k.startDPC()
 			continue
 		}
-		// 4. Scheduler-locked overhead episode?
-		if len(k.episodes) > 0 {
-			if ep := k.takeEpisode(top, levelSchedLock); ep != nil {
-				k.startEpisode(ep)
-				continue
-			}
+		// 4. Scheduler-locked overhead episode? Admitted only when
+		// threads alone hold the CPU; anything above, a context switch
+		// included, holds it off.
+		if top < levelSchedLock && k.lockQ.len() > 0 {
+			k.startEpisode(k.lockQ.pop())
+			continue
 		}
 		// 5. Resume the suspended top activity, if any.
 		if len(k.stack) > 0 {

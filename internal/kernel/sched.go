@@ -279,7 +279,7 @@ func (k *Kernel) serveOne(t *Thread) bool {
 // t. Nothing else can have changed, because nothing but the body runs
 // between its resumption and its next operation.
 func (k *Kernel) mustYield(t *Thread) bool {
-	return k.irqPending > 0 || len(k.dpcQ) > 0 || len(k.episodes) > 0 ||
+	return k.irqPending > 0 || len(k.dpcQ) > 0 || k.PendingEpisodes() > 0 ||
 		k.bestReadyPriority() > t.priority
 }
 

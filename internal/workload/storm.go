@@ -27,12 +27,21 @@ type Storm struct {
 	rng *sim.RNG
 	cfg StormConfig
 
-	slot      sim.Cycles // engine cycles per lattice slot
-	keepProb  float64
+	slot     sim.Cycles // engine cycles per lattice slot
+	keepProb float64
+	// logMiss is math.Log(1-keepProb), the per-storm denominator of the
+	// geometric gap draw, computed once instead of per packet.
+	logMiss   float64
 	offered   uint64
 	samples   []BacklogSample
 	sampleGap sim.Cycles
 	on        bool
+
+	// arriveFn and sampleFn are the engine callbacks, bound once: a
+	// method value passed to Eng.After escapes, so binding it per event
+	// would allocate once per offered packet.
+	arriveFn func(sim.Time)
+	sampleFn func(sim.Time)
 }
 
 // stormBaseHz is the arrival lattice rate: 2^18 slots per second, giving
@@ -98,6 +107,9 @@ func NewStorm(m *ospersona.Machine, cfg StormConfig) *Storm {
 	if s.slot < 1 {
 		s.slot = 1
 	}
+	s.logMiss = math.Log(1 - s.keepProb)
+	s.arriveFn = s.arrive
+	s.sampleFn = s.sample
 	return s
 }
 
@@ -108,7 +120,7 @@ func (s *Storm) Start() {
 	}
 	s.on = true
 	s.scheduleNext()
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sample)
+	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
 }
 
 // Stop halts arrivals and sampling (pending engine events drain inert).
@@ -127,9 +139,9 @@ func (s *Storm) scheduleNext() {
 	gap := 1
 	if s.keepProb < 1 {
 		u := s.rng.Float64()
-		gap = 1 + int(math.Log(1-u)/math.Log(1-s.keepProb))
+		gap = 1 + int(math.Log(1-u)/s.logMiss)
 	}
-	s.m.Eng.After(sim.Cycles(gap)*s.slot, "storm.rx", s.arrive)
+	s.m.Eng.After(sim.Cycles(gap)*s.slot, "storm.rx", s.arriveFn)
 }
 
 func (s *Storm) arrive(sim.Time) {
@@ -154,5 +166,5 @@ func (s *Storm) sample(sim.Time) {
 		Delivered: s.m.NIC.Delivered(),
 		Dropped:   s.m.NIC.Dropped(),
 	})
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sample)
+	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
 }
