@@ -4,7 +4,8 @@
 # bodies on it, so races are a first-class failure mode, not a theoretical
 # one), plus the event-heap oracle, the step-body differential test, the
 # episode-order test and the steady-state allocation tests that guard the
-# pooled substrate and the storm.
+# pooled substrate and the storm, and a short fuzz pass over the result
+# codec's decoders.
 
 GO ?= go
 
@@ -20,11 +21,11 @@ NEW  ?= bench-new.json
 # coverage grows, never lower it to make a failure go away.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults bench-harness cover determinism record-check smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
+.PHONY: all check lint vet build test race substrate failure-paths service fleet-faults bench-harness fuzz-smoke cover determinism record-check smoke storm-smoke resume-smoke serve-smoke horde-smoke bench bench-smoke bench-compare reproduce clean
 
 all: check
 
-check: lint build test race substrate failure-paths service fleet-faults bench-harness
+check: lint build test race substrate failure-paths service fleet-faults bench-harness fuzz-smoke
 
 # lint: formatting is enforced, not advisory — gofmt drift fails the gate,
 # and go vet runs under the same umbrella so `make lint` is the one cheap
@@ -108,6 +109,20 @@ fleet-faults:
 # its short tests here; tier-1 `go test ./...` at the root never sees it.
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# fuzz-smoke: ten seconds of native Go fuzzing per decoder of untrusted
+# result bytes — core.DecodeResult (checkpoint files and worker
+# completions) and the histogram parser beneath it. Each target asserts the
+# decoder never panics and that any input it accepts re-encodes to exactly
+# itself; the seed corpus is the codec's differential-test documents, whole,
+# truncated and with a byte flipped. go test fuzzes one target per run.
+# Minimizing is off: shrinking one interesting multi-KB document took
+# longer than the whole pass, which then tried about a hundred inputs
+# instead of over a hundred thousand. A failing input is still saved under
+# the package's testdata/fuzz/, unminimized, and reruns as a plain test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzHistogramJSON$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/stats/
 
 # cover: the coverage gate for the campaign runtime, the metrics registry,
 # (since fleet mode) the service wire types and the server — coordinator

@@ -30,7 +30,8 @@ type App struct {
 	Name   string
 	thread *kernel.Thread
 	sem    *kernel.Semaphore
-	queue  []Op
+	queue  []Op // submitted ops; queue[head:] have not been popped yet
+	head   int
 	done   uint64
 	ioWait *kernel.Event
 	idleEv *kernel.Event // signaled every time the queue drains
@@ -61,16 +62,16 @@ func (m *Machine) NewApp(name string) *App {
 		idleEv: m.Kernel.NewEvent(name+".idle", kernel.NotificationEvent),
 	}
 	a.popFn = func() {
-		a.op = a.queue[0]
-		// Shift down in place: reslicing from the front sheds capacity and
-		// makes every Submit reallocate.
-		n := copy(a.queue, a.queue[1:])
-		a.queue[n] = Op{}
-		a.queue = a.queue[:n]
+		a.op = a.queue[a.head]
+		a.head++
+		if a.head == len(a.queue) {
+			a.queue = a.queue[:0]
+			a.head = 0
+		}
 	}
 	a.finishFn = func() {
 		a.done++
-		if len(a.queue) == 0 {
+		if a.Pending() == 0 {
 			a.m.Kernel.SetEvent(a.idleEv)
 		}
 	}
@@ -83,10 +84,18 @@ func (m *Machine) NewApp(name string) *App {
 }
 
 // Submit appends ops to the app's script. Callable from simulation-harness
-// context (workload generator events).
+// context (workload generator events). A pop advances head instead of
+// shifting the queue; the popped prefix is compacted away only when the
+// backing is full and at least half of it has been popped, so a stress
+// workload's standing backlog of hundreds of ops costs O(1) amortized per
+// op and the backing stays bounded by its peak.
 func (a *App) Submit(ops ...Op) {
 	if len(ops) == 0 {
 		return
+	}
+	if len(a.queue)+len(ops) > cap(a.queue) && 2*a.head >= len(a.queue) {
+		a.queue = a.queue[:copy(a.queue, a.queue[a.head:])]
+		a.head = 0
 	}
 	a.queue = append(a.queue, ops...)
 	a.m.Kernel.ReleaseSemaphore(a.sem, len(ops))
@@ -96,7 +105,7 @@ func (a *App) Submit(ops ...Op) {
 func (a *App) Done() uint64 { return a.done }
 
 // Pending returns the number of queued, unfinished ops.
-func (a *App) Pending() int { return len(a.queue) }
+func (a *App) Pending() int { return len(a.queue) - a.head }
 
 // IdleEvent is signaled whenever the app drains its queue; throughput
 // harnesses wait on it to time a script.

@@ -183,6 +183,43 @@ func TestAppRunsScriptToCompletion(t *testing.T) {
 	}
 }
 
+// TestAppQueueFIFO: interleaved submits and pops keep submission order
+// and an exact Pending while the backing compacts several times. The pops
+// call the app's pop stage directly, with no simulation running.
+func TestAppQueueFIFO(t *testing.T) {
+	app := build(t, NT4, Options{}).NewApp("fifo")
+	submitted, popped, compactions := 0, 0, 0
+	for round := 0; round < 400; round++ {
+		ops := make([]Op, 1+round%7)
+		for i := range ops {
+			ops[i].Compute = sim.Cycles(submitted)
+			submitted++
+		}
+		head := app.head
+		app.Submit(ops...)
+		if head > 0 && app.head == 0 {
+			compactions++
+		}
+		pops := len(ops) - 1 // a slowly growing backlog ...
+		if round%9 == 8 {
+			pops = app.Pending() // ... drained now and then
+		}
+		for i := 0; i < pops; i++ {
+			app.popFn()
+			if app.op.Compute != sim.Cycles(popped) {
+				t.Fatalf("round %d: popped op %d, want %d", round, app.op.Compute, popped)
+			}
+			popped++
+		}
+		if app.Pending() != submitted-popped {
+			t.Fatalf("round %d: Pending %d, want %d", round, app.Pending(), submitted-popped)
+		}
+	}
+	if compactions < 3 {
+		t.Fatalf("%d compactions; the test must cross several", compactions)
+	}
+}
+
 func TestAppThinkTimePausesThread(t *testing.T) {
 	m := build(t, NT4, Options{})
 	app := m.NewApp("reader")

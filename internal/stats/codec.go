@@ -3,68 +3,35 @@ package stats
 // Checkpoint codec for Histogram. A resumed campaign replays stored
 // results instead of re-simulating, so the encoding must round-trip the
 // histogram *exactly*: the bucket counts drive quantiles and CCDFs, and
-// the float accumulators drive reported means. encoding/json preserves
-// float64 exactly (it emits the shortest representation that parses back
-// to the same bits), so the wire form stays readable without sacrificing
-// the byte-identical-artifact guarantee.
+// the float accumulators drive reported means. The wire form is the JSON
+// encoding/json once wrote for it, now written and parsed by
+// internal/canon without reflection: floats in their shortest exact form,
+// so decode(encode(h)) is bit-identical, and the counts sparse — a latency
+// histogram populates a few dozen of the 642 buckets — as an object keyed
+// by bucket index. The parser fills the histogram in place and accepts
+// only those exact bytes.
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"wdmlat/internal/sim"
+	"wdmlat/internal/canon"
 )
 
-// histogramWire is the serialized form of a Histogram. Counts is sparse —
-// a latency histogram populates a few dozen of the 642 buckets — keyed by
-// bucket index. Min/Max are stored raw (an empty histogram's sentinels
-// included) so decode(encode(h)) is field-for-field identical.
-type histogramWire struct {
-	Freq   sim.Freq       `json:"freq"`
-	N      uint64         `json:"n"`
-	Sum    float64        `json:"sum"`
-	SumSq  float64        `json:"sumsq"`
-	Min    sim.Cycles     `json:"min"`
-	Max    sim.Cycles     `json:"max"`
-	Counts map[int]uint64 `json:"counts,omitempty"`
-}
-
-// MarshalJSON encodes the histogram for checkpointing.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	w := histogramWire{
-		Freq:  h.freq,
-		N:     h.n,
-		Sum:   h.sum,
-		SumSq: h.sumsq,
-		Min:   h.min,
-		Max:   h.max,
+// WalkHistogram walks h's canonical JSON on c, for internal/canon's Append
+// and Parse: the fields below, in this order, with counts omitted when
+// every bucket is empty. Min and max are stored raw, an empty histogram's
+// sentinels included, so a decoded histogram is field-for-field identical.
+func WalkHistogram(c *canon.Codec, h *Histogram) {
+	c.Begin()
+	c.I64("freq", (*int64)(&h.freq))
+	c.U64("n", &h.n)
+	c.F64("sum", &h.sum)
+	c.F64("sumsq", &h.sumsq)
+	c.I64("min", (*int64)(&h.min))
+	c.I64("max", (*int64)(&h.max))
+	c.Sparse("counts", h.counts[:])
+	c.End()
+	if c.Decoding() && h.freq <= 0 {
+		c.Fail(fmt.Errorf("stats: decoded histogram has non-positive frequency %d", h.freq))
 	}
-	for i, c := range h.counts {
-		if c != 0 {
-			if w.Counts == nil {
-				w.Counts = make(map[int]uint64)
-			}
-			w.Counts[i] = c
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes a checkpointed histogram, replacing h's contents.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Freq <= 0 {
-		return fmt.Errorf("stats: decoded histogram has non-positive frequency %d", w.Freq)
-	}
-	*h = Histogram{freq: w.Freq, n: w.N, sum: w.Sum, sumsq: w.SumSq, min: w.Min, max: w.Max}
-	for i, c := range w.Counts {
-		if i < 0 || i >= len(h.counts) {
-			return fmt.Errorf("stats: decoded histogram bucket index %d out of range", i)
-		}
-		h.counts[i] = c
-	}
-	return nil
 }
