@@ -95,7 +95,7 @@ service:
 
 # fleet-faults: the coordinator fault-injection suite and the sharding
 # determinism property under -race — silent workers, corrupt payloads,
-# duplicate completions, drain with leases outstanding, and byte-identity
+# stale completions, drain with leases outstanding, and byte-identity
 # of the merged stream across fleet sizes 1..16 with seeded churn. These
 # overlap `service` (which runs the whole packages) but are named here so
 # the distributed-execution guarantees have their own failing gate, plus

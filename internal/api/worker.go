@@ -11,7 +11,7 @@ package api
 //	POST /v1/workers                 register        -> RegisterResponse
 //	POST /v1/workers/{id}/heartbeat  stay alive      -> 204 (410: re-register)
 //	POST /v1/workers/{id}/leases     claim cells     -> LeaseResponse
-//	POST /v1/workers/{id}/complete   deliver a cell  -> 200 (422: rejected)
+//	POST /v1/workers/{id}/complete   deliver a cell  -> 200 merged (410: no live cell, 422: rejected)
 //	GET  /v1/fleet                   observability   -> FleetStatus
 //
 // A lease carries the cell's complete identity: base seed, key, and the
@@ -106,8 +106,10 @@ type LeaseResponse struct {
 // trailing newline — the same content a local checkpoint file holds),
 // which the coordinator independently validates before merging (decode,
 // byte-exact canonical re-encode, fingerprint re-derivation from the
-// embedded config). Completion is idempotent: re-delivering an already-
-// merged cell is a no-op.
+// embedded config). Completion is idempotent: a delivery that finds no
+// pending or leased cell — already merged, its campaign cancelled, or
+// leased before a coordinator restart — is answered 410 and merges
+// nothing.
 type CompleteRequest struct {
 	Fingerprint string          `json:"fingerprint"`
 	Result      json.RawMessage `json:"result,omitempty"`

@@ -116,7 +116,7 @@ func TestMergeOrderIndependent(t *testing.T) {
 	cfg := core.RunConfig{OS: ospersona.Win98, Workload: workload.Games, Duration: shortDur}
 	run := func(i int) *core.Result {
 		c := cfg
-		c.Seed = core.ReplicaSeed(11, i)
+		c.Seed = sim.DeriveSeed(11, ReplicaKey("win98/games/merge-order", i))
 		return core.Run(c)
 	}
 	// Two independent, identical replica sets (runs are deterministic).

@@ -5,7 +5,8 @@ package client
 // execute → complete while a background heartbeat keeps its leases alive.
 // Everything it sends rides the same Backoff schedule as the rest of the
 // client, and every message is idempotent — a retried completion of an
-// already-merged cell is a counted no-op on the coordinator — so the loop
+// already-merged cell finds no live task and is answered 410, which the
+// worker drops — so the loop
 // survives dropped connections, coordinator restarts (a session that dies
 // on a transport failure re-registers instead of exiting, so a worker
 // outlives arbitrary coordinator downtime once it has registered), and
@@ -271,7 +272,7 @@ func (c *Client) workerSession(ctx context.Context, reg api.RegisterResponse, op
 // error; execution failures are reported to the coordinator (which fails
 // the cell deterministically) and delivery problems are left to lease
 // expiry — the coordinator re-dispatches, and this worker's eventual
-// retry lands as a duplicate no-op.
+// retry, if the cell merged meanwhile, is answered 410 and dropped.
 func (c *Client) executeLease(ctx context.Context, workerID string, l api.Lease, opts WorkerOptions) error {
 	if err := l.Verify(); err != nil {
 		return fmt.Errorf("%w: %v", ErrWorkerSkew, err)
@@ -310,8 +311,8 @@ func (c *Client) executeLease(ctx context.Context, workerID string, l api.Lease,
 	}
 	if err := c.complete(ctx, workerID, req); err != nil {
 		// Undeliverable (coordinator gone, cell re-dispatched, payload
-		// rejected): the lease TTL and the duplicate-completion no-op make
-		// dropping it safe. Surface it to the hook, not the session.
+		// rejected): lease expiry re-dispatches the cell, so dropping it
+		// is safe. Surface it to the hook, not the session.
 		execErr = errors.Join(execErr, err)
 	}
 	if opts.OnCell != nil {
@@ -353,9 +354,11 @@ func (c *Client) lease(ctx context.Context, workerID string, max int) (api.Lease
 	return resp, nil
 }
 
-// complete delivers one finished cell. 410 (campaign gone) and 422
-// (payload rejected; the coordinator already re-dispatched the cell) are
-// swallowed: both mean "this copy of the work is no longer wanted".
+// complete delivers one finished cell. 410 (no pending or leased cell:
+// already merged, campaign cancelled, or leased before a coordinator
+// restart) and 422 (payload rejected; the coordinator already
+// re-dispatched the cell) are swallowed: both mean "this copy of the work
+// is no longer wanted".
 func (c *Client) complete(ctx context.Context, workerID string, req api.CompleteRequest) error {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -4,7 +4,8 @@ package client
 // through the Max each lease request carries — the only externally
 // visible shadow of the slot pool), the checkpoint-backed lease path
 // (cache hits skip the simulator and are flagged to the coordinator),
-// and RunWorker's survival of a coordinator restart.
+// RunWorker's survival of a coordinator restart, and its handling of a
+// completion the coordinator no longer wants.
 //
 // Every test scripts the coordinator side with an httptest server; the
 // worker under test is the real client code with a recorded clock.
@@ -410,5 +411,71 @@ func TestRunWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	defer mu.Unlock()
 	if registrations != 2 {
 		t.Fatalf("registrations = %d, want 2 (initial + post-restart)", registrations)
+	}
+}
+
+// TestRunWorkerDropsGoneCompletion: a 410 on /complete means the
+// coordinator holds no pending or leased cell for the fingerprint — it
+// already merged, its campaign was cancelled, or it was leased before a
+// restart. The worker drops the result and carries on in the same
+// session: OnCell sees no error, it never re-registers, and it leases
+// again.
+func TestRunWorkerDropsGoneCompletion(t *testing.T) {
+	var mu sync.Mutex
+	registrations, completions, granted := 0, 0, 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		registrations++
+		mu.Unlock()
+		writeTestJSON(w, http.StatusOK, api.RegisterResponse{WorkerID: "w1", LeaseTTLMillis: 3_600_000, PollMillis: 1})
+	})
+	mux.HandleFunc("POST /v1/workers/w1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("POST /v1/workers/w1/leases", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if granted < 2 {
+			granted++
+			writeTestJSON(w, http.StatusOK, api.LeaseResponse{Leases: []api.Lease{workerLease(t, fmt.Sprintf("nt4/business/gone/%d", granted))}})
+			return
+		}
+		writeTestJSON(w, http.StatusOK, api.LeaseResponse{Draining: true})
+	})
+	mux.HandleFunc("POST /v1/workers/w1/complete", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		completions++
+		mu.Unlock()
+		writeTestJSON(w, http.StatusGone, api.Error{Message: "no pending or leased cell"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var cellErrs []error
+	c, _ := testClient(ts.URL, 2)
+	err := c.RunWorker(context.Background(), WorkerOptions{
+		Execute: workerFakeResult,
+		OnCell: func(_ string, err error) {
+			mu.Lock()
+			cellErrs = append(cellErrs, err)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("RunWorker = %v, want nil (drained)", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if registrations != 1 {
+		t.Errorf("registrations = %d, want 1: a 410 on /complete must not end the session", registrations)
+	}
+	if completions != 2 || len(cellErrs) != 2 {
+		t.Fatalf("completions = %d, OnCell calls = %d, want 2 each", completions, len(cellErrs))
+	}
+	for i, err := range cellErrs {
+		if err != nil {
+			t.Errorf("OnCell error for cell %d = %v, want nil", i, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wdmlat/internal/campaign"
 	"wdmlat/internal/core"
 	"wdmlat/internal/modem"
 	"wdmlat/internal/ospersona"
@@ -72,12 +73,18 @@ func TestWin2000BetaBehavesLikeNT(t *testing.T) {
 	}
 }
 
-// TestRunMergedPoolsDistributions: pooled runs accumulate samples and span,
-// and the pooled maximum dominates a single run's.
+// TestRunMergedPoolsDistributions: three replicas pooled with Result.Merge,
+// as campaign.Runner.Merged pools them, accumulate samples and span, and
+// the pooled maximum dominates a single run's.
 func TestRunMergedPoolsDistributions(t *testing.T) {
 	cfg := core.RunConfig{OS: ospersona.Win98, Workload: workload.Games, Seed: 33, Duration: 20 * time.Second}
 	single := core.Run(cfg)
-	merged := core.RunMerged(cfg, 3)
+	merged := core.Run(cfg)
+	for i := 1; i < 3; i++ {
+		replica := cfg
+		replica.Seed = sim.DeriveSeed(cfg.Seed, campaign.ReplicaKey("pool", i))
+		merged.Merge(core.Run(replica))
+	}
 	if merged.Samples <= 2*single.Samples {
 		t.Fatalf("merged samples %d vs single %d", merged.Samples, single.Samples)
 	}
@@ -93,16 +100,6 @@ func TestRunMergedPoolsDistributions(t *testing.T) {
 		if merged.Thread[28].N() < uint64(float64(merged.Samples)*0.9) {
 			t.Fatalf("pooled histogram too small: %d vs %d samples", merged.Thread[28].N(), merged.Samples)
 		}
-	}
-}
-
-// TestRunMergedSingleIsPlainRun: runs<=1 short-circuits.
-func TestRunMergedSingleIsPlainRun(t *testing.T) {
-	cfg := core.RunConfig{OS: ospersona.NT4, Workload: workload.Business, Seed: 34, Duration: 10 * time.Second}
-	a := core.Run(cfg)
-	b := core.RunMerged(cfg, 1)
-	if a.Samples != b.Samples || a.Thread[28].Max() != b.Thread[28].Max() {
-		t.Fatal("RunMerged(1) differs from Run")
 	}
 }
 

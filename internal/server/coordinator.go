@@ -24,9 +24,15 @@ package server
 // decode through the exact result codec, re-encode to the identical bytes
 // (canonical form), and its embedded config must re-derive the leased
 // cell's fingerprint — a worker that returns a corrupt or wrong-cell payload is
-// rejected and the cell re-dispatched, never merged. Duplicate completion
-// of an already-merged cell is a counted no-op, which is what makes worker
-// retries and straggler races safe.
+// rejected and the cell re-dispatched, never merged.
+//
+// The coordinator remembers live cells only: a task leaves the table the
+// moment its outcome is published, and the checkpoint store is the one
+// record that a cell finished. A completion that finds no pending or
+// leased task — the cell already merged, its campaign cancelled, or the
+// coordinator restarted since the lease — is CompleteUnknown and counted
+// stale; the worker drops it, which is what makes worker retries and
+// straggler races safe.
 
 import (
 	"bytes"
@@ -47,19 +53,19 @@ import (
 
 // Metric names the coordinator publishes on CoordinatorOptions.Metrics.
 const (
-	MetricFleetWorkersRegistered = "fleet_workers_registered"    // registrations accepted
-	MetricFleetWorkersActive     = "fleet_workers_active"        // gauge: live workers
-	MetricFleetWorkersExpired    = "fleet_workers_expired"       // workers declared dead (heartbeat TTL)
-	MetricFleetLeasesGranted     = "fleet_leases_granted"        // cells handed to workers
-	MetricFleetLeasesReclaimed   = "fleet_leases_reclaimed"      // leases taken back from dead workers
-	MetricFleetCellsCompleted    = "fleet_cells_completed"       // validated results merged
-	MetricFleetCellsRejected     = "fleet_cells_rejected"        // corrupt/mismatched payloads refused
-	MetricFleetCellsFailed       = "fleet_cells_failed"          // deterministic worker-reported failures
-	MetricFleetCellsRedispatched = "fleet_cells_redispatched"    // cells returned to the queue (reclaim or reject)
-	MetricFleetDuplicateDone     = "fleet_completions_duplicate" // completions of already-merged cells (no-ops)
-	MetricFleetQueueDepth        = "fleet_queue_depth"           // gauge: cells awaiting dispatch
-	MetricFleetCellsLeased       = "fleet_cells_leased"          // gauge: cells out with workers
-	MetricFleetCellsCacheHit     = "fleet_cells_cache_hit"       // accepted completions answered from a worker's checkpoint store
+	MetricFleetWorkersRegistered = "fleet_workers_registered" // registrations accepted
+	MetricFleetWorkersActive     = "fleet_workers_active"     // gauge: live workers
+	MetricFleetWorkersExpired    = "fleet_workers_expired"    // workers declared dead (heartbeat TTL)
+	MetricFleetLeasesGranted     = "fleet_leases_granted"     // cells handed to workers
+	MetricFleetLeasesReclaimed   = "fleet_leases_reclaimed"   // leases taken back from dead workers
+	MetricFleetCellsCompleted    = "fleet_cells_completed"    // validated results merged
+	MetricFleetCellsRejected     = "fleet_cells_rejected"     // corrupt/mismatched payloads refused
+	MetricFleetCellsFailed       = "fleet_cells_failed"       // deterministic worker-reported failures
+	MetricFleetCellsRedispatched = "fleet_cells_redispatched" // cells returned to the queue (reclaim or reject)
+	MetricFleetStaleDone         = "fleet_completions_stale"  // completions with no pending or leased cell (dropped)
+	MetricFleetQueueDepth        = "fleet_queue_depth"        // gauge: cells awaiting dispatch
+	MetricFleetCellsLeased       = "fleet_cells_leased"       // gauge: cells out with workers
+	MetricFleetCellsCacheHit     = "fleet_cells_cache_hit"    // merged completions answered from a worker's checkpoint store
 )
 
 // ErrDraining is returned by ExecuteRemote for cells that could not finish
@@ -78,28 +84,20 @@ type CoordinatorOptions struct {
 	// Now overrides the clock (tests drive expiry deterministically).
 	// Must be safe for concurrent use.
 	Now func() time.Time
-	// Journal, if non-nil, durably records every fingerprint that reaches
-	// a terminal outcome, so a restarted coordinator can keep answering
-	// pre-crash stragglers with CompleteDuplicate.
-	Journal *Journal
-	// Merged seeds the merged-fingerprint set — the Journal's replayed
-	// Merged list from a prior incarnation. Completions for these
-	// fingerprints (with no live task wanting them again) are duplicates,
-	// never unknowns.
-	Merged []string
 }
 
 type coordMetrics struct {
 	registered, expired                 *metrics.Counter
 	granted, reclaimed                  *metrics.Counter
 	completed, rejected, failed         *metrics.Counter
-	redispatched, duplicate, cacheHit   *metrics.Counter
+	redispatched, stale, cacheHit       *metrics.Counter
 	workersActive, queueDepth, cellsOut *metrics.Gauge
 }
 
 // Task states. A task is one fingerprinted cell wanted by at least one
-// campaign; pending and leased tasks move between the queue and workers,
-// done tasks hold a result or a deterministic failure.
+// campaign; pending and leased tasks move between the queue and workers.
+// A done task has left the coordinator's table and holds a result or a
+// deterministic failure for the ExecuteRemote waiters that still share it.
 const (
 	taskPending = iota
 	taskLeased
@@ -128,16 +126,10 @@ type Coordinator struct {
 	opts CoordinatorOptions
 	met  coordMetrics
 
-	mu      sync.Mutex
-	workers map[string]*fleetWorker
-	tasks   map[string]*cellTask // by fingerprint
-	queue   []*cellTask          // pending dispatch, FIFO
-	// merged remembers every fingerprint that reached a terminal outcome,
-	// so a worker retry or straggler that lands after the waiters consumed
-	// the task is answered CompleteDuplicate (idempotent no-op) instead of
-	// CompleteUnknown. One fingerprint string per finished cell — the same
-	// order of growth as the result cache itself.
-	merged   map[string]struct{}
+	mu       sync.Mutex
+	workers  map[string]*fleetWorker
+	tasks    map[string]*cellTask // pending and leased cells, by fingerprint
+	queue    []*cellTask          // pending dispatch, FIFO
 	nextID   int
 	draining bool
 
@@ -169,7 +161,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 			rejected:      reg.Counter(MetricFleetCellsRejected),
 			failed:        reg.Counter(MetricFleetCellsFailed),
 			redispatched:  reg.Counter(MetricFleetCellsRedispatched),
-			duplicate:     reg.Counter(MetricFleetDuplicateDone),
+			stale:         reg.Counter(MetricFleetStaleDone),
 			cacheHit:      reg.Counter(MetricFleetCellsCacheHit),
 			workersActive: reg.Gauge(MetricFleetWorkersActive),
 			queueDepth:    reg.Gauge(MetricFleetQueueDepth),
@@ -177,12 +169,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		},
 		workers:     map[string]*fleetWorker{},
 		tasks:       map[string]*cellTask{},
-		merged:      map[string]struct{}{},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
-	}
-	for _, fp := range opts.Merged {
-		co.merged[fp] = struct{}{}
 	}
 	go co.janitor()
 	return co
@@ -284,19 +272,19 @@ func (co *Coordinator) Lease(workerID string, max int) (resp api.LeaseResponse, 
 type CompleteDisposition int
 
 const (
-	CompleteMerged    CompleteDisposition = iota // validated and merged (or failure recorded)
-	CompleteDuplicate                            // cell already merged; no-op
-	CompleteUnknown                              // no such task (campaign gone); worker moves on
-	CompleteRejected                             // corrupt payload; cell re-dispatched
+	CompleteMerged   CompleteDisposition = iota // validated and merged (or failure recorded)
+	CompleteUnknown                             // no pending or leased cell; worker drops it
+	CompleteRejected                            // corrupt payload; cell re-dispatched
 )
 
 // Complete delivers one finished cell from a worker. The worker need not
 // still be registered — a straggler that was declared dead can still land
-// its result, and the copy the re-dispatched worker delivers later becomes
-// the duplicate no-op. Payloads are validated before they can reach a
-// campaign: decode through the exact codec, canonical re-encode, and
-// fingerprint re-derivation from the embedded config must all agree, or
-// the payload is rejected and the cell goes back to the queue.
+// its result, and the copy the re-dispatched worker delivers later finds
+// no live task and is CompleteUnknown. Payloads are validated before they
+// can reach a campaign: decode through the exact codec, canonical
+// re-encode, and fingerprint re-derivation from the embedded config must
+// all agree, or the payload is rejected and the cell goes back to the
+// queue.
 func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (CompleteDisposition, error) {
 	if err := req.Validate(); err != nil {
 		return CompleteRejected, err
@@ -317,17 +305,8 @@ func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (Compl
 	}
 	t, ok := co.tasks[req.Fingerprint]
 	if !ok {
-		if _, was := co.merged[req.Fingerprint]; was {
-			co.met.duplicate.Inc()
-			co.countCacheHitLocked(req)
-			return CompleteDuplicate, nil
-		}
-		return CompleteUnknown, fmt.Errorf("no task with fingerprint %s", req.Fingerprint)
-	}
-	if t.state == taskDone {
-		co.met.duplicate.Inc()
-		co.countCacheHitLocked(req)
-		return CompleteDuplicate, nil
+		co.met.stale.Inc()
+		return CompleteUnknown, fmt.Errorf("no pending or leased cell with fingerprint %s", req.Fingerprint)
 	}
 	if req.Error != "" {
 		// A deterministic execution failure: re-dispatching would fail
@@ -357,19 +336,11 @@ func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (Compl
 		return CompleteRejected, fmt.Errorf("cell %q from worker %s rejected: %w", t.lease.Key, workerID, valErr)
 	}
 	co.met.completed.Inc()
-	co.countCacheHitLocked(req)
-	co.finishLocked(t, res, nil)
-	return CompleteMerged, nil
-}
-
-// countCacheHitLocked counts a completion the worker answered from its
-// checkpoint store instead of executing. Only accepted completions
-// (merged or duplicate) reach it — a rejected payload's Cached flag is
-// worthless, cached or not.
-func (co *Coordinator) countCacheHitLocked(req api.CompleteRequest) {
 	if req.Cached {
 		co.met.cacheHit.Inc()
 	}
+	co.finishLocked(t, res, nil)
+	return CompleteMerged, nil
 }
 
 // decodeCanonical decodes a completion payload through the exact result
@@ -378,8 +349,8 @@ func (co *Coordinator) countCacheHitLocked(req api.CompleteRequest) {
 // The comparison is byte-exact: the canonical wire form is the
 // core.EncodeResult document without its trailing newline (the form
 // api.EncodeCellResult produces), and any padding — whitespace included —
-// is a rejection, because the journal-replay duplicate path depends on
-// "merged" meaning exactly one byte sequence per fingerprint.
+// is a rejection, so a merged cell is exactly one byte sequence per
+// fingerprint: the one a local checkpoint holds.
 func decodeCanonical(payload []byte) (*core.Result, error) {
 	res, err := core.DecodeResult(bytes.NewReader(payload))
 	if err != nil {
@@ -403,7 +374,9 @@ func short(fp string) string {
 	return fp
 }
 
-// finishLocked publishes a task's terminal outcome and releases waiters.
+// finishLocked publishes a task's terminal outcome, releases its waiters
+// and forgets it: the waiters keep their *cellTask, and a later completion
+// for the fingerprint finds no task.
 func (co *Coordinator) finishLocked(t *cellTask, res *core.Result, err error) {
 	switch t.state {
 	case taskLeased:
@@ -417,16 +390,8 @@ func (co *Coordinator) finishLocked(t *cellTask, res *core.Result, err error) {
 	}
 	t.state = taskDone
 	t.res, t.err = res, err
-	co.merged[t.lease.Fingerprint] = struct{}{}
-	// Durably remember the terminal outcome before waiters see it: a
-	// straggler delivering this cell to the next coordinator incarnation
-	// must be answered CompleteDuplicate, not CompleteUnknown. The fsync
-	// per cell is noise against a multi-second simulated cell.
-	co.opts.Journal.Merged(t.lease.Fingerprint)
 	close(t.done)
-	if t.refs == 0 {
-		delete(co.tasks, t.lease.Fingerprint)
-	}
+	delete(co.tasks, t.lease.Fingerprint)
 }
 
 // releaseLocked detaches a leased task from its owner.
@@ -522,13 +487,7 @@ func (co *Coordinator) ExecuteRemote(ctx context.Context, baseSeed uint64, key s
 	t.refs--
 	switch {
 	case t.state == taskDone:
-		if t.refs == 0 {
-			delete(co.tasks, fp)
-		}
-		if t.err != nil {
-			return nil, t.err
-		}
-		return t.res, nil
+		return t.res, t.err
 	case t.refs > 0:
 		// Another campaign still wants this cell; leave it in flight.
 		return nil, ctx.Err()
@@ -573,8 +532,8 @@ func workerNum(id string) int {
 }
 
 // Close drains the coordinator: no new cells are accepted or leased, every
-// unfinished task fails its waiters with ErrDraining, and lease responses
-// tell workers to exit. Leases still outstanding are simply forgotten — a
+// task fails its waiters with ErrDraining, and lease responses tell
+// workers to exit. Leases still outstanding are simply forgotten — a
 // completion that arrives after Close gets CompleteUnknown. Idempotent.
 func (co *Coordinator) Close() {
 	co.mu.Lock()
@@ -584,20 +543,9 @@ func (co *Coordinator) Close() {
 		return
 	}
 	co.draining = true
-	for fp, t := range co.tasks {
-		if t.state != taskDone {
-			if t.state == taskLeased {
-				co.releaseLocked(t)
-			} else {
-				co.met.queueDepth.Dec()
-			}
-			t.state = taskDone
-			t.err = fmt.Errorf("cell %q: %w", t.lease.Key, ErrDraining)
-			close(t.done)
-		}
-		delete(co.tasks, fp)
+	for _, t := range co.tasks {
+		co.finishLocked(t, nil, fmt.Errorf("cell %q: %w", t.lease.Key, ErrDraining))
 	}
-	co.queue = nil
 	co.mu.Unlock()
 	close(co.janitorStop)
 	<-co.janitorDone

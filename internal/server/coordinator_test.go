@@ -6,7 +6,8 @@ package server
 // checks the two properties the fleet design hangs on: a cell's bytes
 // reach a campaign exactly once no matter how workers misbehave, and
 // every failure mode (silence, corruption, duplication, shutdown) resolves
-// without stalling a waiter forever.
+// without stalling a waiter forever — while the coordinator remembers
+// only the cells still pending or leased.
 //
 // Results here are fabricated, not simulated: coordinator validation only
 // inspects the payload's encoding and embedded config, so a pure function
@@ -263,8 +264,9 @@ func TestCoordinatorRejectsCorruptPayloads(t *testing.T) {
 }
 
 // TestCoordinatorDuplicateCompletionIsNoOp re-delivers an already-merged
-// cell — the retry/straggler race — and checks it neither double-merges
-// nor errors, and is counted.
+// cell — the retry/straggler race — and checks it does not double-merge:
+// the cell left the task table when it merged, so each re-delivery is
+// CompleteUnknown (410, which the worker drops) and counted stale.
 func TestCoordinatorDuplicateCompletionIsNoOp(t *testing.T) {
 	reg := metrics.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, Metrics: reg})
@@ -284,13 +286,12 @@ func TestCoordinatorDuplicateCompletionIsNoOp(t *testing.T) {
 		t.Fatalf("ExecuteRemote: %v", res.err)
 	}
 	for i := 0; i < 2; i++ {
-		disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: payload})
-		if err != nil || disp != CompleteDuplicate {
-			t.Fatalf("duplicate %d: %v (disposition %d, want duplicate no-op)", i, err, disp)
+		if disp, _ := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: payload}); disp != CompleteUnknown {
+			t.Fatalf("duplicate %d: disposition %d, want unknown", i, disp)
 		}
 	}
-	if got := counter(reg, MetricFleetDuplicateDone); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricFleetDuplicateDone, got)
+	if got := counter(reg, MetricFleetStaleDone); got != 2 {
+		t.Errorf("%s = %d, want 2", MetricFleetStaleDone, got)
 	}
 	if got := counter(reg, MetricFleetCellsCompleted); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricFleetCellsCompleted, got)
@@ -299,8 +300,8 @@ func TestCoordinatorDuplicateCompletionIsNoOp(t *testing.T) {
 
 // TestCoordinatorStragglerFromExpiredWorkerMerges covers work
 // conservation: a worker declared dead finishes its cell anyway. The
-// straggler's (valid) result merges, and the re-dispatched copy becomes
-// the duplicate no-op.
+// straggler's (valid) result merges, and the re-dispatched copy finds no
+// live task: CompleteUnknown, dropped by its worker.
 func TestCoordinatorStragglerFromExpiredWorkerMerges(t *testing.T) {
 	clock := newFakeClock()
 	reg := metrics.NewRegistry()
@@ -330,10 +331,12 @@ func TestCoordinatorStragglerFromExpiredWorkerMerges(t *testing.T) {
 	if res := <-out; res.err != nil {
 		t.Fatalf("ExecuteRemote: %v", res.err)
 	}
-	// The re-dispatched copy arrives later: a no-op, not an error.
-	disp, err = co.Complete(second.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l)})
-	if err != nil || disp != CompleteDuplicate {
-		t.Fatalf("re-dispatched copy: %v (disposition %d, want duplicate)", err, disp)
+	// The re-dispatched copy arrives later and merges nothing.
+	if disp, _ = co.Complete(second.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l)}); disp != CompleteUnknown {
+		t.Fatalf("re-dispatched copy: disposition %d, want unknown", disp)
+	}
+	if got := counter(reg, MetricFleetCellsCompleted); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricFleetCellsCompleted, got)
 	}
 }
 
@@ -671,9 +674,9 @@ func TestCoordinatorRejectsPaddedPayload(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCountsCacheHitCompletions: the Cached flag on accepted
-// completions — merges and duplicates alike — feeds fleet_cells_cache_hit;
-// a rejected payload's flag counts for nothing.
+// TestCoordinatorCountsCacheHitCompletions: the Cached flag on merged
+// completions feeds fleet_cells_cache_hit; a rejected payload's flag and a
+// stale re-delivery's count for nothing.
 func TestCoordinatorCountsCacheHitCompletions(t *testing.T) {
 	reg := metrics.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, Metrics: reg})
@@ -702,12 +705,86 @@ func TestCoordinatorCountsCacheHitCompletions(t *testing.T) {
 	if o := <-out; o.err != nil {
 		t.Fatalf("waiter: %v", o.err)
 	}
-	// The straggler's retry of the same cached cell is a duplicate — and
-	// still a cache hit.
-	if disp, _ := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l), Cached: true}); disp != CompleteDuplicate {
-		t.Fatal("retried completion not a duplicate")
+	// The straggler's retry of the same cached cell is stale, not a hit.
+	if disp, _ := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l), Cached: true}); disp != CompleteUnknown {
+		t.Fatalf("retried completion disposition %d, want unknown", disp)
 	}
-	if got := counter(reg, MetricFleetCellsCacheHit); got != 2 {
-		t.Fatalf("%s = %d, want 2 (merge + duplicate)", MetricFleetCellsCacheHit, got)
+	if got := counter(reg, MetricFleetCellsCacheHit); got != 1 {
+		t.Fatalf("%s = %d, want 1 (the merge only)", MetricFleetCellsCacheHit, got)
+	}
+}
+
+// TestCoordinatorStaleCompletionsAreUnknown pins what a coordinator that
+// remembers live cells only answers to the three completions that find no
+// pending or leased task: a re-delivery of a cell whose ExecuteRemote has
+// returned, a cell of a cancelled campaign, and a fingerprint a previous
+// coordinator merged before a restart. Each is CompleteUnknown, merges
+// nothing, is no cache hit, and counts once as stale; and once every
+// campaign has ended the task table is empty.
+func TestCoordinatorStaleCompletionsAreUnknown(t *testing.T) {
+	// The previous incarnation merges one cell, then goes away.
+	prev := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	before := startCell(context.Background(), prev, 7, "nt4/business/restart/0", cellConfig(time.Millisecond))
+	waitFor(t, "cell enqueued", func() bool { return prev.Status().Pending == 1 })
+	pw, _ := prev.Register("first-life")
+	resp, _ := prev.Lease(pw.WorkerID, 1)
+	restarted := resp.Leases[0]
+	if disp, err := prev.Complete(pw.WorkerID, api.CompleteRequest{Fingerprint: restarted.Fingerprint, Result: fakePayload(t, restarted)}); disp != CompleteMerged {
+		t.Fatalf("merge before restart = %v (%v)", disp, err)
+	}
+	if o := <-before; o.err != nil {
+		t.Fatalf("waiter before restart: %v", o.err)
+	}
+	prev.Close()
+
+	reg := metrics.NewRegistry()
+	co := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, Metrics: reg})
+	defer co.Close()
+	w, _ := co.Register("")
+
+	merged := startCell(context.Background(), co, 7, "nt4/business/stale/0", cellConfig(time.Millisecond))
+	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
+	resp, _ = co.Lease(w.WorkerID, 1)
+	done := resp.Leases[0]
+	if disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: done.Fingerprint, Result: fakePayload(t, done)}); disp != CompleteMerged {
+		t.Fatalf("first completion = %v (%v)", disp, err)
+	}
+	if o := <-merged; o.err != nil {
+		t.Fatalf("waiter: %v", o.err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := startCell(ctx, co, 7, "nt4/business/stale/1", cellConfig(2*time.Millisecond))
+	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
+	resp, _ = co.Lease(w.WorkerID, 1)
+	cancelled := resp.Leases[0]
+	cancel()
+	if o := <-abandoned; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("cancelled waiter err = %v", o.err)
+	}
+
+	for i, l := range []api.Lease{done, cancelled, restarted} {
+		disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l), Cached: true})
+		if disp != CompleteUnknown || err == nil {
+			t.Fatalf("stale completion %d (%s): disposition %d err %v, want unknown", i, l.Key, disp, err)
+		}
+		if got := counter(reg, MetricFleetStaleDone); got != uint64(i+1) {
+			t.Fatalf("after stale completion %d: %s = %d, want %d", i, MetricFleetStaleDone, got, i+1)
+		}
+	}
+	if got := counter(reg, MetricFleetCellsCompleted); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricFleetCellsCompleted, got)
+	}
+	if got := counter(reg, MetricFleetCellsCacheHit); got != 0 {
+		t.Errorf("%s = %d, want 0", MetricFleetCellsCacheHit, got)
+	}
+	co.mu.Lock()
+	live := len(co.tasks)
+	co.mu.Unlock()
+	if live != 0 {
+		t.Errorf("%d tasks remembered after every campaign ended, want 0", live)
+	}
+	if st := co.Status(); st.Pending != 0 || st.Leased != 0 {
+		t.Errorf("status pending=%d leased=%d, want 0/0", st.Pending, st.Leased)
 	}
 }

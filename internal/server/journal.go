@@ -1,30 +1,29 @@
 package server
 
-// The durable half of the coordinator: an append-only NDJSON journal of
-// everything a restart must not forget. Three record kinds cover it:
+// The durable half of the server: an append-only NDJSON journal of the
+// campaigns a restart must not forget. Two record kinds cover it:
 //
 //	{"op":"campaign","id":...,"spec":{...}}  a campaign was admitted
 //	{"op":"state","id":...,"state":"done"}   it reached a terminal state
-//	{"op":"merged","fp":"..."}               the coordinator merged a cell
 //
 // A campaign with no terminal-state record is live: on restart the server
-// re-admits it from the journaled spec and the task table rebuilds itself
-// as the resumed job's cells flow back through ExecuteRemote — cells whose
-// results already reached the checkpoint store replay from disk, the rest
-// re-dispatch to workers. Merged fingerprints seed the coordinator's
-// duplicate set, so a straggler completion that crossed the crash boundary
-// is answered CompleteDuplicate (idempotent no-op) instead of
-// CompleteUnknown, and byte-identity is preserved: the journal only ever
-// changes whether a cell re-executes, never what its bytes are.
+// re-admits it from the journaled spec and the coordinator's task table
+// rebuilds itself as the resumed job's cells flow back through
+// ExecuteRemote — cells whose results already reached the checkpoint store
+// replay from disk, the rest re-dispatch to workers. Nothing per cell is
+// journaled: the checkpoint store is the record that a cell finished, and
+// a straggler completion that crossed the crash boundary finds no live
+// task and is dropped. The journal only ever changes whether a cell
+// re-executes, never what its bytes are.
 //
 // Open replays the file, tolerating a truncated final record (the crash
-// landed mid-append), then compacts: finished campaigns' records are
-// dropped and the live state is rewritten atomically before the file
-// reopens for appending. Appends are fsynced one record at a time — a
-// record covers an entire campaign admission or a multi-second simulated
-// cell, so durability here is nowhere near any hot path. Append failures
-// are counted (MetricJournalErrors), not fatal: a full disk degrades the
-// server to PR-6 semantics (restart loses state) instead of killing it.
+// landed mid-append) and skipping records of any other kind — among them
+// the per-cell "merged" records older journals hold — then compacts:
+// finished campaigns' records are dropped and the live campaigns are
+// rewritten atomically before the file reopens for appending. Appends are
+// fsynced one record at a time, two per campaign. Append failures are
+// counted (MetricJournalErrors), not fatal: a full disk degrades the
+// server to a restart that loses its campaigns instead of killing it.
 
 import (
 	"encoding/json"
@@ -68,12 +67,9 @@ type JournalCampaign struct {
 type JournalState struct {
 	// Campaigns lists live campaigns in admission order.
 	Campaigns []JournalCampaign
-	// Merged lists every fingerprint that reached a terminal outcome in a
-	// prior incarnation, for the coordinator's duplicate set.
-	Merged []string
 }
 
-// Journal is the append-only durable record of server/coordinator state.
+// Journal is the append-only durable record of the server's campaigns.
 // All methods are safe for concurrent use and nil-receiver safe (a nil
 // *Journal journals nothing), mirroring the metrics registry contract.
 type Journal struct {
@@ -108,8 +104,7 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // replayJournal folds a journal file into the state a restart needs:
-// admitted campaigns minus those with terminal-state records, plus the
-// merged-fingerprint set.
+// admitted campaigns minus those with terminal-state records.
 func replayJournal(path string) (JournalState, error) {
 	var state JournalState
 	f, err := os.Open(path)
@@ -123,7 +118,6 @@ func replayJournal(path string) (JournalState, error) {
 
 	var campaigns []JournalCampaign
 	terminal := map[string]struct{}{}
-	mergedSeen := map[string]struct{}{}
 	dec := json.NewDecoder(f)
 	for {
 		var rec journalRecord
@@ -145,15 +139,6 @@ func replayJournal(path string) (JournalState, error) {
 			if api.TerminalState(rec.State) {
 				terminal[rec.ID] = struct{}{}
 			}
-		case journalOpMerged:
-			if rec.FP == "" {
-				continue
-			}
-			if _, dup := mergedSeen[rec.FP]; dup {
-				continue
-			}
-			mergedSeen[rec.FP] = struct{}{}
-			state.Merged = append(state.Merged, rec.FP)
 		}
 	}
 	seen := map[string]struct{}{}
@@ -171,9 +156,9 @@ func replayJournal(path string) (JournalState, error) {
 }
 
 // compactJournal atomically rewrites the journal to exactly the live
-// state: one campaign record per unfinished campaign, one merged record
-// per remembered fingerprint. Terminal-state records disappear together
-// with the campaigns they closed.
+// state: one campaign record per unfinished campaign. Terminal-state
+// records disappear together with the campaigns they closed, and records
+// replay skipped disappear with them.
 func compactJournal(path string, state JournalState) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -181,16 +166,9 @@ func compactJournal(path string, state JournalState) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	enc := json.NewEncoder(tmp)
-	write := func(rec journalRecord) error { return enc.Encode(rec) }
 	for _, c := range state.Campaigns {
 		spec := c.Spec
-		if err := write(journalRecord{Op: journalOpCampaign, ID: c.ID, Spec: &spec}); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compacting: %w", err)
-		}
-	}
-	for _, fp := range state.Merged {
-		if err := write(journalRecord{Op: journalOpMerged, FP: fp}); err != nil {
+		if err := enc.Encode(journalRecord{Op: journalOpCampaign, ID: c.ID, Spec: &spec}); err != nil {
 			tmp.Close()
 			return fmt.Errorf("journal: compacting: %w", err)
 		}
@@ -214,10 +192,7 @@ func (j *Journal) State() JournalState {
 	if j == nil {
 		return JournalState{}
 	}
-	return JournalState{
-		Campaigns: append([]JournalCampaign(nil), j.state.Campaigns...),
-		Merged:    append([]string(nil), j.state.Merged...),
-	}
+	return JournalState{Campaigns: append([]JournalCampaign(nil), j.state.Campaigns...)}
 }
 
 // Instrument attaches the journal's error counter to reg.
@@ -242,8 +217,10 @@ func (j *Journal) Finished(id, state string) {
 	j.append(journalRecord{Op: journalOpState, ID: id, State: state})
 }
 
-// Merged records a fingerprint the coordinator published a terminal
-// outcome for.
+// Merged appends a per-cell record. The program no longer calls it — the
+// checkpoint store records finished cells — and replay skips the records
+// it writes; it stays because the end-to-end benchmark's journal-append
+// probe (bench/probes.go) times an fsynced append through it.
 func (j *Journal) Merged(fp string) {
 	j.append(journalRecord{Op: journalOpMerged, FP: fp})
 }

@@ -1,8 +1,8 @@
 package server
 
 // Durability suite for the admission journal: replay/compaction unit
-// tests, crash-boundary coordinator behavior (pre-restart straggler
-// completions land as duplicates), and the headline restart property —
+// tests, older journals' per-cell records dropped on open, no per-cell
+// record written by a fleet campaign, and the headline restart property —
 // a server killed mid-campaign re-admits the journaled campaign and
 // serves bytes identical to an uninterrupted run, replaying finished
 // cells from the checkpoint store instead of re-executing them.
@@ -10,11 +10,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,9 +55,9 @@ func openJournal(t *testing.T, path string) *Journal {
 	return j
 }
 
-// TestJournalReplayAndCompaction: finished campaigns and duplicate merges
-// disappear across a reopen; live campaigns and the merged set survive,
-// and the reopened file holds exactly the live records.
+// TestJournalReplayAndCompaction: finished campaigns and per-cell merged
+// records disappear across a reopen; live campaigns survive, and the
+// reopened file holds exactly the live records.
 func TestJournalReplayAndCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	specA, specB := journalSpec("a", 1), journalSpec("b", 1)
@@ -65,7 +68,6 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 	j1.Campaign(idB, specB)
 	j1.Merged("fp1")
 	j1.Merged("fp2")
-	j1.Merged("fp1") // duplicate: must not appear twice after replay
 	j1.Finished(idA, api.StateDone)
 	j1.Finished(idB, api.StateRunning) // non-terminal: must not close B
 	if err := j1.Close(); err != nil {
@@ -77,17 +79,13 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 	if len(st.Campaigns) != 1 || st.Campaigns[0].ID != idB {
 		t.Fatalf("live campaigns = %+v, want exactly %s", st.Campaigns, idB)
 	}
-	if got, want := st.Merged, []string{"fp1", "fp2"}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("merged = %v, want %v", st.Merged, want)
-	}
-	// Compaction rewrote the file to the live records only: one campaign,
-	// two merged fingerprints.
+	// Compaction rewrote the file to the live records only: one campaign.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(string(data), "\n"); lines != 3 {
-		t.Fatalf("compacted journal has %d records, want 3:\n%s", lines, data)
+	if lines := strings.Count(string(data), "\n"); lines != 1 {
+		t.Fatalf("compacted journal has %d records, want 1:\n%s", lines, data)
 	}
 
 	// The compacted journal is still appendable: closing B empties it.
@@ -97,7 +95,7 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 	}
 	j3 := openJournal(t, path)
 	defer j3.Close()
-	if st := j3.State(); len(st.Campaigns) != 0 || len(st.Merged) != 2 {
+	if st := j3.State(); len(st.Campaigns) != 0 {
 		t.Fatalf("after closing all campaigns: %+v", st)
 	}
 }
@@ -112,7 +110,6 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 
 	j1 := openJournal(t, path)
 	j1.Campaign(id, spec)
-	j1.Merged("fp1")
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"merged","fp":"fp-lost-to-the-cra`); err != nil {
+	if _, err := f.WriteString(`{"op":"state","id":"` + id + `","state":"do`); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -132,18 +129,16 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	if len(st.Campaigns) != 1 || st.Campaigns[0].ID != id {
 		t.Fatalf("campaigns after torn tail = %+v", st.Campaigns)
 	}
-	if len(st.Merged) != 1 || st.Merged[0] != "fp1" {
-		t.Fatalf("merged after torn tail = %v", st.Merged)
-	}
 	// Appends after recovery land cleanly.
-	j2.Merged("fp2")
+	spec2 := journalSpec("after-tear", 1)
+	j2.Campaign(api.CampaignID(spec2), spec2)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	j3 := openJournal(t, path)
 	defer j3.Close()
-	if st := j3.State(); len(st.Merged) != 2 {
-		t.Fatalf("merged after recovery append = %v", st.Merged)
+	if st := j3.State(); len(st.Campaigns) != 2 {
+		t.Fatalf("campaigns after recovery append = %+v", st.Campaigns)
 	}
 }
 
@@ -155,7 +150,7 @@ func TestJournalNilReceiverIsSafe(t *testing.T) {
 	j.Finished("id", api.StateDone)
 	j.Merged("fp")
 	j.Instrument(metrics.NewRegistry())
-	if st := j.State(); len(st.Campaigns) != 0 || len(st.Merged) != 0 {
+	if st := j.State(); len(st.Campaigns) != 0 {
 		t.Fatalf("nil journal state = %+v", st)
 	}
 	if err := j.Close(); err != nil {
@@ -163,64 +158,118 @@ func TestJournalNilReceiverIsSafe(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSeededWithJournaledMerges crosses the crash boundary at
-// the coordinator: a cell merged before the crash is journaled; after a
-// restart the new coordinator, seeded from the replayed journal, answers
-// the straggler's retried completion as an idempotent duplicate — and
-// counts its cache-hit flag — instead of 410ing a result it already owns.
-func TestCoordinatorSeededWithJournaledMerges(t *testing.T) {
+// TestJournalDropsMergedRecordsOfOlderJournals: a journal written when the
+// coordinator still journaled each merged cell opens cleanly — its
+// "merged" lines between and after the campaign records are skipped, the
+// live campaign is re-admitted and runs, and compaction leaves no merged
+// line behind.
+func TestJournalDropsMergedRecordsOfOlderJournals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
-	j1 := openJournal(t, path)
-	reg1 := metrics.NewRegistry()
-	co1 := NewCoordinator(CoordinatorOptions{LeaseTTL: 10 * time.Second, Metrics: reg1, Journal: j1})
-
-	out := startCell(context.Background(), co1, 7, "nt4/business/restart/0", cellConfig(time.Millisecond))
-	waitFor(t, "cell enqueued", func() bool { return co1.Status().Pending == 1 })
-	w, _ := co1.Register("first-life")
-	resp, ok := co1.Lease(w.WorkerID, 1)
-	if !ok || len(resp.Leases) != 1 {
-		t.Fatalf("lease: ok=%v leases=%d", ok, len(resp.Leases))
+	finished, live := journalSpec("older-done", 1), journalSpec("older-live", 2)
+	finishedID, liveID := api.CampaignID(finished), api.CampaignID(live)
+	var old bytes.Buffer
+	campaignLine := func(id string, spec *api.CampaignSpec) {
+		line, err := json.Marshal(journalRecord{Op: journalOpCampaign, ID: id, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Write(append(line, '\n'))
 	}
-	l := resp.Leases[0]
-	if disp, err := co1.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l)}); disp != CompleteMerged {
-		t.Fatalf("complete = %v (%v), want merged", disp, err)
-	}
-	if o := <-out; o.err != nil {
-		t.Fatalf("waiter: %v", o.err)
-	}
-	co1.Close()
-	if err := j1.Close(); err != nil {
+	mergedLine := func(fp string) { fmt.Fprintf(&old, `{"op":"merged","fp":"%s"}`+"\n", fp) }
+	campaignLine(finishedID, finished)
+	mergedLine(strings.Repeat("ab", 32))
+	mergedLine(strings.Repeat("cd", 32))
+	campaignLine(liveID, live)
+	fmt.Fprintf(&old, `{"op":"state","id":"%s","state":"done"}`+"\n", finishedID)
+	mergedLine(strings.Repeat("ef", 32))
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": replay the journal, seed a fresh coordinator with it.
-	j2 := openJournal(t, path)
-	defer j2.Close()
-	st := j2.State()
-	if len(st.Merged) != 1 || st.Merged[0] != l.Fingerprint {
-		t.Fatalf("journaled merges = %v, want [%s]", st.Merged, l.Fingerprint)
+	j := openJournal(t, path)
+	defer j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg2 := metrics.NewRegistry()
-	co2 := NewCoordinator(CoordinatorOptions{LeaseTTL: 10 * time.Second, Metrics: reg2, Journal: j2, Merged: st.Merged})
-	defer co2.Close()
+	if bytes.Contains(data, []byte(`"merged"`)) || strings.Count(string(data), "\n") != 1 {
+		t.Fatalf("compacted journal is not the one live campaign record:\n%s", data)
+	}
 
-	// The straggler redelivers from its checkpoint cache (Cached set).
-	disp, err := co2.Complete("w-from-before-the-crash", api.CompleteRequest{
-		Fingerprint: l.Fingerprint, Result: fakePayload(t, l), Cached: true,
-	})
-	if disp != CompleteDuplicate || err != nil {
-		t.Fatalf("straggler completion = %v (%v), want duplicate", disp, err)
+	reg := metrics.NewRegistry()
+	srv := New(Options{Jobs: 1, Metrics: reg, Journal: j, Execute: resumeFakeResult})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if got := counter(reg, MetricResumed); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricResumed, got)
 	}
-	if got := counter(reg2, MetricFleetDuplicateDone); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricFleetDuplicateDone, got)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	status, err := client.New(ts.URL, client.Options{}).Watch(ctx, liveID, nil)
+	if err != nil || status.State != api.StateDone {
+		t.Fatalf("re-admitted campaign: %+v, %v", status, err)
 	}
-	if got := counter(reg2, MetricFleetCellsCacheHit); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricFleetCellsCacheHit, got)
+}
+
+// TestJournalHoldsNoPerCellRecordsAfterFleetCampaign: a fleet campaign
+// through a server with a store and a journal journals its admission and
+// its end, and nothing per cell — the checkpoint store is the record that
+// a cell finished.
+func TestJournalHoldsNoPerCellRecordsAfterFleetCampaign(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal")
+	st, err := store.Open(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// An unjournaled fingerprint is still unknown — seeding must not
-	// blanket-accept.
-	if disp, _ := co2.Complete("w", api.CompleteRequest{Fingerprint: strings.Repeat("ef", 32), Result: fakePayload(t, l)}); disp != CompleteUnknown {
-		t.Fatalf("unknown fingerprint = %v, want unknown", disp)
+	j := openJournal(t, jpath)
+	defer j.Close()
+	reg := metrics.NewRegistry()
+	srv := New(Options{Jobs: 4, Store: st, Metrics: reg, Journal: j,
+		Fleet: &CoordinatorOptions{LeaseTTL: time.Minute, Poll: 5 * time.Millisecond}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() {
+		// The coordinator re-derives the fingerprint from the embedded
+		// config, which the real simulator normalizes; so must the fake.
+		exec := func(cfg core.RunConfig) *core.Result { return resumeFakeResult(cfg.Normalized()) }
+		workerErr <- client.New(ts.URL, client.Options{}).RunWorker(ctx, client.WorkerOptions{Execute: exec})
+	}()
+
+	const cells = 8
+	c := client.New(ts.URL, client.Options{})
+	status, err := c.Watch(ctx, mustSubmit(t, ctx, c, journalSpec("fleet", cells)), nil)
+	if err != nil || status.State != api.StateDone {
+		t.Fatalf("fleet campaign: %+v, %v", status, err)
+	}
+	if got := counter(reg, MetricFleetCellsCompleted); got != cells {
+		t.Fatalf("%s = %d, want %d", MetricFleetCellsCompleted, got, cells)
+	}
+	srv.Close() // drains the worker
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		ops[rec.Op]++
+	}
+	if len(ops) != 2 || ops[journalOpCampaign] != 1 || ops[journalOpState] != 1 {
+		t.Fatalf("journal records by op = %v, want one campaign and one state line:\n%s", ops, data)
 	}
 }
 
@@ -415,6 +464,72 @@ func TestServerDoesNotResumeFinishedCampaigns(t *testing.T) {
 	defer j2.Close()
 	if state := j2.State(); len(state.Campaigns) != 0 {
 		t.Fatalf("journal still holds %+v after both campaigns ended", state.Campaigns)
+	}
+}
+
+// TestServerDoesNotResumeCampaignsFinishedDuringShutdown: whether a
+// campaign's journal entry closes depends on how the campaign ended, not
+// on whether the server is shutting down by the time finishJob runs. Here
+// Close's cancellation lands before three queued campaigns finish: the
+// one that finished done and the one a DELETE cancelled are closed; the
+// one only the shutdown cancelled stays open for the next incarnation.
+func TestServerDoesNotResumeCampaignsFinishedDuringShutdown(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal")
+	j1 := openJournal(t, jpath)
+	plugged, release := make(chan struct{}), make(chan struct{})
+	var plugOnce sync.Once
+	exec := func(cfg core.RunConfig) *core.Result {
+		plugOnce.Do(func() { close(plugged) })
+		<-release
+		return resumeFakeResult(cfg)
+	}
+	srv := New(Options{Jobs: 1, Concurrency: 1, Journal: j1, Execute: exec})
+	serve := func(method, path string, body []byte, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s = %d (%s), want %d", method, path, rec.Code, rec.Body, want)
+		}
+	}
+	submit := func(spec *api.CampaignSpec) {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve(http.MethodPost, "/v1/campaigns", body, http.StatusAccepted)
+	}
+
+	// The plug holds the only executor, so the next three stay queued and
+	// the test finishes them itself, in a known order against Close.
+	submit(journalSpec("plug", 1))
+	<-plugged
+	for _, name := range []string{"done", "deleted", "shutdown"} {
+		submit(journalSpec(name, 1))
+	}
+	done, deleted, shutdown := <-srv.queue, <-srv.queue, <-srv.queue
+	serve(http.MethodDelete, "/v1/campaigns/"+deleted.id, nil, http.StatusAccepted)
+	srv.rootCancel()
+	srv.finishJob(done, api.StateDone, nil, "")
+	srv.finishJob(deleted, api.StateCancelled, nil, "cancelled")
+	srv.finishJob(shutdown, api.StateCancelled, nil, "cancelled")
+	close(release)
+	srv.Close()
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openJournal(t, jpath)
+	defer j2.Close()
+	open := map[string]bool{}
+	for _, c := range j2.State().Campaigns {
+		open[c.ID] = true
+	}
+	if open[done.id] || open[deleted.id] {
+		t.Errorf("journal left open: done=%v deleted=%v, want both closed", open[done.id], open[deleted.id])
+	}
+	if !open[shutdown.id] {
+		t.Error("campaign cancelled only by the shutdown was closed, want it left open to resume")
 	}
 }
 

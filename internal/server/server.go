@@ -104,12 +104,10 @@ type Options struct {
 	// local run at any fleet size, including across worker crashes.
 	Fleet *CoordinatorOptions
 	// Journal, if non-nil, makes admitted campaigns durable: every
-	// admission, terminal state and coordinator merge is appended, and
-	// New re-admits the journal's unfinished campaigns so a restart
-	// resumes them (cells already in Store replay from disk; the rest
-	// re-execute or re-dispatch) instead of failing their waiters. The
-	// journal's merged fingerprints also seed the coordinator, so
-	// pre-restart straggler completions land as duplicates.
+	// admission and terminal state is appended, and New re-admits the
+	// journal's unfinished campaigns so a restart resumes them (cells
+	// already in Store replay from disk; the rest re-execute or
+	// re-dispatch) instead of failing their waiters.
 	Journal *Journal
 }
 
@@ -129,7 +127,7 @@ type job struct {
 	spec api.CampaignSpec
 
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 
 	mu      sync.Mutex
 	state   string
@@ -250,10 +248,6 @@ func New(opts Options) *Server {
 		if co.Metrics == nil {
 			co.Metrics = opts.Metrics
 		}
-		if co.Journal == nil {
-			co.Journal = opts.Journal
-		}
-		co.Merged = append(append([]string(nil), co.Merged...), jstate.Merged...)
 		s.coord = NewCoordinator(co)
 		s.mux.HandleFunc("POST /v1/workers", s.handleWorkerRegister)
 		s.mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
@@ -292,7 +286,7 @@ func (s *Server) resumeJournaled(campaigns []JournalCampaign) {
 			continue
 		}
 		j := &job{id: id, spec: spec, state: api.StateQueued, changed: make(chan struct{})}
-		j.ctx, j.cancel = context.WithCancel(s.rootCtx)
+		j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 		j.publishLocked(api.Event{Type: api.EventState, State: api.StateQueued})
 		s.met.depth.Inc()
 		select {
@@ -305,7 +299,7 @@ func (s *Server) resumeJournaled(campaigns []JournalCampaign) {
 			// journaled campaign), kept so a future sizing bug degrades to
 			// a dropped resume instead of a deadlocked constructor.
 			s.mu.Unlock()
-			j.cancel()
+			j.cancel(nil)
 			s.met.depth.Dec()
 		}
 	}
@@ -352,7 +346,7 @@ func (s *Server) executor() {
 
 // runJob executes one campaign and publishes its terminal state.
 func (s *Server) runJob(j *job) {
-	defer j.cancel()
+	defer j.cancel(nil)
 	if j.ctx.Err() != nil {
 		s.finishJob(j, api.StateCancelled, nil, fmt.Sprintf("cancelled before start: %v", context.Cause(j.ctx)))
 		return
@@ -438,15 +432,20 @@ func (s *Server) finishJob(j *job, state string, result []byte, errMsg string) {
 	case api.StateCancelled:
 		s.met.cancelled.Inc()
 	}
-	// A terminal state reached because the server itself is shutting down
-	// — Close cancelled the job, or draining failed its cells — is not the
-	// campaign's outcome, it is the restart's starting point: leave the
-	// journal entry open so the next incarnation resumes the job. A
-	// user-requested DELETE (root context still alive) closes it for good.
-	if s.rootCtx.Err() == nil {
+	// A job that ended because Close cancelled it has not reached its
+	// outcome; its end is the restart's starting point, so the journal
+	// entry stays open and the next incarnation resumes the job. Every
+	// other end closes the entry: done, failed, or cancelled by a DELETE,
+	// whose cause a later Close cannot overwrite. The decision reads the
+	// job's own context, not the server's state now, so a Close that lands
+	// after the publish above changes nothing.
+	if state == api.StateDone || j.ctx.Err() == nil || errors.Is(context.Cause(j.ctx), errCancelRequested) {
 		s.opts.Journal.Finished(j.id, state)
 	}
 }
+
+// errCancelRequested is the cause a DELETE cancels its job with.
+var errCancelRequested = errors.New("cancelled by request")
 
 // --- HTTP handlers ---------------------------------------------------------
 
@@ -507,7 +506,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{id: id, spec: spec, state: api.StateQueued, changed: make(chan struct{})}
-	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
+	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 	// Publish the queued event before the job is visible to an executor,
 	// so the event stream always starts with it.
 	j.publishLocked(api.Event{Type: api.EventState, State: api.StateQueued})
@@ -518,7 +517,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Queue full: reject now, with a hint, rather than ever blocking
 		// the accept loop behind simulation work.
 		s.mu.Unlock()
-		j.cancel()
+		j.cancel(nil)
 		s.met.depth.Dec()
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
@@ -566,7 +565,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.cancel()
+	j.cancel(errCancelRequested)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -645,8 +644,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 //
 // Thin HTTP skins over the Coordinator state machine. 410 Gone is the
 // "identity lost" signal — an unknown worker id (expired and reclaimed) or
-// an unknown task fingerprint (campaign finished or cancelled) — and tells
-// the worker to re-register or drop the result, never to retry verbatim.
+// a fingerprint with no pending or leased cell (already merged, campaign
+// cancelled, or leased before a restart) — and tells the worker to
+// re-register or drop the result, never to retry verbatim.
 
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterRequest
@@ -700,8 +700,6 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	switch disp {
 	case CompleteMerged:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "merged"})
-	case CompleteDuplicate:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
 	case CompleteUnknown:
 		writeError(w, http.StatusGone, "%v", err)
 	case CompleteRejected:

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"wdmlat/internal/sim"
@@ -95,6 +96,48 @@ func TestBucketEdgesMatchFloatGeometry(t *testing.T) {
 		got := float64(bucketEdges[i])
 		if got < want-1e-6 || got-want >= 1+1e-6 {
 			t.Errorf("edge %d = %d, not the ceiling of %g", i, bucketEdges[i], want)
+		}
+	}
+}
+
+// TestBucketTablesMatchExactDerivation checks every entry of the tables
+// the package builds from octaveMantissa against an independent exact
+// derivation in math/big: each mantissa is the integer 16th root of
+// 2^(1008+j), each edge is ⌈2^(n/16)⌉ as the integer 16th root of 2^n plus
+// one (or 1<<k when n = 16k), and subGuess[m] = max{ j : 2^(80+j) <=
+// (32+m)^16 }, which holds iff (32+m)^16 has a bit length of at least
+// 81+j. Four nested integer square roots preserve the floor at each step.
+func TestBucketTablesMatchExactDerivation(t *testing.T) {
+	root16 := func(x *big.Int) *big.Int {
+		for i := 0; i < 4; i++ {
+			x.Sqrt(x)
+		}
+		return x
+	}
+	for j := 0; j < bucketsPerOctave; j++ {
+		want := root16(new(big.Int).Lsh(big.NewInt(1), uint(1008+j)))
+		if !want.IsUint64() || octaveMantissa[j] != want.Uint64() {
+			t.Errorf("octaveMantissa[%d] = %#x, want %#x", j, octaveMantissa[j], want)
+		}
+	}
+	exactEdge := func(n int) uint64 {
+		if n%bucketsPerOctave == 0 {
+			return 1 << uint(n/bucketsPerOctave)
+		}
+		return root16(new(big.Int).Lsh(big.NewInt(1), uint(n))).Uint64() + 1
+	}
+	if bucketEdges[0] != 0 {
+		t.Errorf("underflow edge = %d, want 0", bucketEdges[0])
+	}
+	for i := 1; i <= numBuckets+1; i++ {
+		if want := exactEdge(i - 1); bucketEdges[i] != want {
+			t.Errorf("bucketEdges[%d] = %d, want %d", i, bucketEdges[i], want)
+		}
+	}
+	for m := int64(0); m < 32; m++ {
+		x := new(big.Int).Exp(big.NewInt(32+m), big.NewInt(16), nil)
+		if want := uint8(x.BitLen() - 81); subGuess[m] != want {
+			t.Errorf("subGuess[%d] = %d, want %d", m, subGuess[m], want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
 
 	"wdmlat/internal/sim"
@@ -74,9 +73,28 @@ var smallIdx [32]uint8
 // comparison in bucketIndex.
 var subGuess [32]uint8
 
+// octaveMantissa[j] is ⌊2^(63+j/16)⌋, the sub-octave ratio 2^(j/16) as a
+// 64-bit fixed-point mantissa, exact to the last bit: it is the integer
+// 16th root of 2^(1008+j), which TestBucketTablesMatchExactDerivation
+// re-derives with math/big. Shifting it right by 63-k floors 2^(k+j/16)
+// exactly, because flooring twice by integer divisions floors once.
+var octaveMantissa = [bucketsPerOctave]uint64{
+	0x8000000000000000, 0x85aac367cc487b14, 0x8b95c1e3ea8bd6e6, 0x91c3d373ab11c336,
+	0x9837f0518db8a96f, 0x9ef5326091a111ad, 0xa5fed6a9b15138ea, 0xad583eea42a14ac6,
+	0xb504f333f9de6484, 0xbd08a39f580c36be, 0xc5672a115506dadd, 0xce248c151f8480e3,
+	0xd744fccad69d6af4, 0xe0ccdeec2a94e111, 0xeac0c6e7dd24392e, 0xf5257d152486cc2c,
+}
+
 func init() {
-	for i := 1; i <= numBuckets+1; i++ {
-		bucketEdges[i] = exactEdge(i - 1)
+	// The edge for n = 16k+j is ⌈2^(k+j/16)⌉: the integer 1<<k when j is
+	// 0, and otherwise the floor of an irrational number plus one.
+	for n := 0; n <= numBuckets; n++ {
+		k, j := uint(n/bucketsPerOctave), n%bucketsPerOctave
+		if j == 0 {
+			bucketEdges[n+1] = 1 << k
+		} else {
+			bucketEdges[n+1] = octaveMantissa[j]>>(63-k) + 1
+		}
 	}
 	for u := uint64(1); u < 32; u++ {
 		i := 1
@@ -85,29 +103,15 @@ func init() {
 		}
 		smallIdx[u] = uint8(i)
 	}
-	// max{ j : 2^(j/16) <= 1+m/32 } = max{ j : 2^(80+j) <= (32+m)^16 },
-	// computed exactly in integers: (32+m)^16 >= 2^(80+j) iff its bit
-	// length is at least 81+j.
-	for m := int64(0); m < 32; m++ {
-		x := new(big.Int).Exp(big.NewInt(32+m), big.NewInt(16), nil)
-		subGuess[m] = uint8(x.BitLen() - 81)
+	// max{ j : 2^(j/16) <= 1+m/32 } = max{ j : 2^(63+j/16) <= (32+m)<<58 }.
+	// j = 0 always qualifies; for j > 0 the left side is irrational, so it
+	// is below the integer bound exactly when its floor, octaveMantissa[j],
+	// is, and the mantissas increase with j.
+	for m := range subGuess {
+		for j := 1; j < bucketsPerOctave && octaveMantissa[j] < uint64(32+m)<<58; j++ {
+			subGuess[m]++
+		}
 	}
-}
-
-// exactEdge returns ceil(2^(n/bucketsPerOctave)) computed exactly. For
-// n = 16k the edge is the integer 1<<k. Otherwise 2^(n/16) is irrational,
-// so its ceiling is r+1 where r is the integer 16th root of 2^n — taken as
-// four nested integer square roots, which preserve the floor at each step.
-func exactEdge(n int) uint64 {
-	k, j := n/bucketsPerOctave, n%bucketsPerOctave
-	if j == 0 {
-		return 1 << uint(k)
-	}
-	x := new(big.Int).Lsh(big.NewInt(1), uint(n))
-	for i := 0; i < 4; i++ {
-		x.Sqrt(x)
-	}
-	return x.Uint64() + 1
 }
 
 // bucketIndex maps a value to its bucket: the octave comes from the bit
