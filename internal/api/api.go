@@ -84,6 +84,16 @@ func (s *CampaignSpec) Validate() error {
 	return nil
 }
 
+// CellFingerprint returns the store fingerprint of cell c in a campaign
+// with base seed seed: store.Fingerprint over the seed, the key and the
+// config with the seed the campaign runner derives for it, the key the
+// runner looks the cell up under.
+func CellFingerprint(seed uint64, c CellSpec) string {
+	cfg := c.Config
+	cfg.Seed = sim.DeriveSeed(seed, c.Key)
+	return store.Fingerprint(seed, c.Key, cfg)
+}
+
 // CampaignID is the campaign's content address: SHA-256 over the ordered
 // per-cell store fingerprints (each of which already covers the codec
 // version, base seed, cell key and canonical config with the derived
@@ -98,9 +108,7 @@ func CampaignID(s *CampaignSpec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "wdmlat-campaign\x00%d\x00%d\x00", seed, len(s.Cells))
 	for _, c := range s.Cells {
-		cfg := c.Config
-		cfg.Seed = sim.DeriveSeed(seed, c.Key)
-		fmt.Fprintf(h, "%s\x00", store.Fingerprint(seed, c.Key, cfg))
+		fmt.Fprintf(h, "%s\x00", CellFingerprint(seed, c))
 	}
 	if s.Precision != nil {
 		fmt.Fprintf(h, "precision\x00%s\x00", s.Precision.Canonical())

@@ -9,6 +9,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -105,25 +106,52 @@ func (s *Store) path(fp string) string {
 	return filepath.Join(s.dir, fp+".json")
 }
 
+// Has reports whether fp has a stored entry, without reading or counting
+// it: a cheap existence check that says nothing about whether the entry
+// decodes.
+func (s *Store) Has(fp string) bool {
+	_, err := os.Stat(s.path(fp))
+	return err == nil
+}
+
 // Load returns the stored result for fp, or (nil, nil) when the store has
 // no entry. An unreadable or corrupt entry is an error — the caller
 // decides whether to re-run the cell (the campaign runner does) or abort.
 func (s *Store) Load(fp string) (*core.Result, error) {
-	f, err := os.Open(s.path(fp))
+	_, res, err := s.load(fp)
+	return res, err
+}
+
+// LoadBytes returns fp's stored document as core.EncodeResult writes it,
+// ending in exactly one newline, or (nil, nil) when the store has no
+// entry. The bytes are validated by decoding them, which accepts only the
+// canonical encoding, so they equal EncodeResult(Load(fp)) without the
+// re-encode. Errors and counters are Load's.
+func (s *Store) LoadBytes(fp string) ([]byte, error) {
+	data, _, err := s.load(fp)
+	return data, err
+}
+
+// load reads and decodes fp's entry, returning the document with its
+// trailing newline and the result it decodes to.
+func (s *Store) load(fp string) ([]byte, *core.Result, error) {
+	data, err := os.ReadFile(s.path(fp))
 	if errors.Is(err, fs.ErrNotExist) {
 		s.misses.Inc()
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	res, err := core.DecodeResult(f)
+	res, err := core.DecodeResult(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("store: checkpoint %s: %w", fp, err)
+		return nil, nil, fmt.Errorf("store: checkpoint %s: %w", fp, err)
 	}
 	s.reads.Inc()
-	return res, nil
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		data = append(data, '\n')
+	}
+	return data, res, nil
 }
 
 // Save atomically persists res under fp: the encoding lands in a temp file

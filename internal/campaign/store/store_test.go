@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"wdmlat/internal/core"
+	"wdmlat/internal/metrics"
 	"wdmlat/internal/ospersona"
 	"wdmlat/internal/workload"
 )
@@ -155,5 +158,78 @@ func TestOpenSweepsOrphanedTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(bystander); err != nil {
 		t.Fatalf("unrelated file lost to the sweep: %v", err)
+	}
+}
+
+// TestLoadBytes: LoadBytes hands back the stored document, equal byte for
+// byte to re-encoding what Load decodes, so on real cells it is the
+// stream's bytes without the re-encode. A document stored without its
+// trailing newline gets exactly one back; a truncated or non-canonical
+// one is an error, like Load's; and the counters are Load's.
+func TestLoadBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	var doc []byte
+	var fp string
+	for i, cfg := range []core.RunConfig{
+		{OS: ospersona.Win98, Workload: workload.Business, Duration: time.Second, Seed: 31},
+		{OS: ospersona.NT4, Workload: workload.Games, Duration: time.Second, Seed: 32, CauseAnalysis: true},
+		{OS: ospersona.Win98, Idle: true, Duration: 250 * time.Millisecond, Seed: 33},
+	} {
+		fp = Fingerprint(7, "cell/"+strconv.Itoa(i), cfg)
+		if err := s.Save(fp, core.Run(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Load(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := core.EncodeResult(&want, res); err != nil {
+			t.Fatal(err)
+		}
+		if doc, err = s.LoadBytes(fp); err != nil || !bytes.Equal(doc, want.Bytes()) {
+			t.Fatalf("cell %d: LoadBytes = %d bytes (%v), want EncodeResult(Load)'s %d", i, len(doc), err, want.Len())
+		}
+	}
+	if got, want := reg.Counter(MetricReads).Value(), uint64(6); got != want {
+		t.Errorf("%s = %d, want %d (three Loads and three LoadBytes)", MetricReads, got, want)
+	}
+
+	path := filepath.Join(dir, fp+".json")
+	if err := os.WriteFile(path, bytes.TrimSuffix(doc, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.LoadBytes(fp); err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("document stored without its newline: LoadBytes = %d bytes (%v), want %d", len(got), err, len(doc))
+	}
+
+	for name, bad := range map[string][]byte{
+		"truncated":     doc[:len(doc)/2],
+		"two newlines":  append(bytes.Clone(doc), '\n'),
+		"leading space": append([]byte(" "), doc...),
+		"inner space":   bytes.Replace(doc, []byte(`{"Version":2,`), []byte(`{ "Version":2,`), 1),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.LoadBytes(fp); err == nil || got != nil {
+			t.Errorf("%s: LoadBytes = (%d bytes, %v), want an error", name, len(got), err)
+		}
+	}
+
+	if got, err := s.LoadBytes(strings.Repeat("ef", 32)); got != nil || err != nil {
+		t.Fatalf("miss: LoadBytes = (%q, %v), want (nil, nil)", got, err)
+	}
+	if got := reg.Counter(MetricFingerprintMiss).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricFingerprintMiss, got)
+	}
+	if got, want := reg.Counter(MetricReads).Value(), uint64(7); got != want {
+		t.Errorf("%s = %d after the errors and the miss, want %d", MetricReads, got, want)
 	}
 }

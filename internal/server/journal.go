@@ -6,22 +6,24 @@ package server
 //	{"op":"campaign","id":...,"spec":{...}}  a campaign was admitted
 //	{"op":"state","id":...,"state":"done"}   it reached a terminal state
 //
-// A campaign with no terminal-state record is live: on restart the server
-// re-admits it from the journaled spec and the coordinator's task table
-// rebuilds itself as the resumed job's cells flow back through
-// ExecuteRemote — cells whose results already reached the checkpoint store
-// replay from disk, the rest re-dispatch to workers. Nothing per cell is
-// journaled: the checkpoint store is the record that a cell finished, and
-// a straggler completion that crossed the crash boundary finds no live
-// task and is dropped. The journal only ever changes whether a cell
-// re-executes, never what its bytes are.
+// A campaign record with no terminal-state record after it is live: on
+// restart the server re-admits it from the journaled spec and the
+// coordinator's task table rebuilds itself as the resumed job's cells flow
+// back through ExecuteRemote — cells whose results already reached the
+// checkpoint store replay from disk, the rest re-dispatch to workers.
+// Nothing per cell is journaled: the checkpoint store is the record that a
+// cell finished, and a straggler completion that crossed the crash
+// boundary finds no live task and is dropped. The journal only ever
+// changes whether a cell re-executes, never what its bytes are.
 //
 // Open replays the file, tolerating a truncated final record (the crash
 // landed mid-append) and skipping records of any other kind — among them
 // the per-cell "merged" records older journals hold — then compacts:
 // finished campaigns' records are dropped and the live campaigns are
 // rewritten atomically before the file reopens for appending. Appends are
-// fsynced one record at a time, two per campaign. Append failures are
+// fsynced one record at a time, two per queued campaign; a campaign
+// answered from the checkpoint store at admission is never journaled,
+// because it is done before a crash could lose it. Append failures are
 // counted (MetricJournalErrors), not fatal: a full disk degrades the
 // server to a restart that loses its campaigns instead of killing it.
 
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"wdmlat/internal/api"
@@ -104,7 +107,9 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // replayJournal folds a journal file into the state a restart needs:
-// admitted campaigns minus those with terminal-state records.
+// admitted campaigns minus those a terminal-state record closed. A
+// terminal record closes only the records before it, so a campaign
+// admitted afresh after a DELETE cancelled it stays live.
 func replayJournal(path string) (JournalState, error) {
 	var state JournalState
 	f, err := os.Open(path)
@@ -117,7 +122,6 @@ func replayJournal(path string) (JournalState, error) {
 	defer f.Close()
 
 	var campaigns []JournalCampaign
-	terminal := map[string]struct{}{}
 	dec := json.NewDecoder(f)
 	for {
 		var rec journalRecord
@@ -137,15 +141,12 @@ func replayJournal(path string) (JournalState, error) {
 			campaigns = append(campaigns, JournalCampaign{ID: rec.ID, Spec: *rec.Spec})
 		case journalOpState:
 			if api.TerminalState(rec.State) {
-				terminal[rec.ID] = struct{}{}
+				campaigns = slices.DeleteFunc(campaigns, func(c JournalCampaign) bool { return c.ID == rec.ID })
 			}
 		}
 	}
 	seen := map[string]struct{}{}
 	for _, c := range campaigns {
-		if _, done := terminal[c.ID]; done {
-			continue
-		}
 		if _, dup := seen[c.ID]; dup {
 			continue
 		}

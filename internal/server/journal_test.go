@@ -273,6 +273,37 @@ func TestJournalHoldsNoPerCellRecordsAfterFleetCampaign(t *testing.T) {
 	}
 }
 
+// TestJournalKeepsCampaignReadmittedAfterCancel: a terminal record closes
+// only the admissions before it, so a campaign that a DELETE cancelled and
+// a resubmission admitted afresh is live after a crash, until a terminal
+// record follows the new admission too.
+func TestJournalKeepsCampaignReadmittedAfterCancel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	spec := journalSpec("readmit", 1)
+	id := api.CampaignID(spec)
+	j1 := openJournal(t, path)
+	j1.Campaign(id, spec)
+	j1.Finished(id, api.StateCancelled)
+	j1.Campaign(id, spec)
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openJournal(t, path)
+	if st := j2.State(); len(st.Campaigns) != 1 || st.Campaigns[0].ID != id {
+		t.Fatalf("live campaigns after cancel and re-admission = %+v, want %s", st.Campaigns, id)
+	}
+	j2.Finished(id, api.StateDone)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3 := openJournal(t, path)
+	defer j3.Close()
+	if st := j3.State(); len(st.Campaigns) != 0 {
+		t.Fatalf("live campaigns after the re-admission finished = %+v, want none", st.Campaigns)
+	}
+}
+
 // resumeFakeResult is the pure cell executor shared by the "crashed"
 // server, the restarted server and the local reference run — identical
 // configs produce identical results, so byte-identity is checkable.

@@ -4,9 +4,10 @@
 //
 // The load-bearing guarantee is byte identity: the result stream served
 // for a campaign — one core.EncodeResult document per cell, in submission
-// order, as campaign.Stream writes it — is exactly what the same campaign
-// produces locally, at any worker count, whether the cells were executed
-// or replayed from the cache. That falls out of the campaign determinism contract (per-cell
+// order, as campaign.Stream writes it, or as the checkpoint store holds it
+// — is exactly what the same campaign produces locally, at any worker
+// count, whether the cells were executed or replayed from the cache. That
+// falls out of the campaign determinism contract (per-cell
 // seeds derived from the campaign seed and cell key, never from
 // scheduling) plus the exact result codec, and the test suite pins it.
 //
@@ -21,8 +22,12 @@
 //     replayed from disk across server restarts — and shared with local
 //     runs pointed at the same checkpoint directory.
 //
-// Admission is bounded: campaigns wait in a fixed-capacity queue for one
-// of a fixed number of executor slots, and a submission that finds the
+// A fixed-replica campaign whose every cell is already stored is answered
+// at admission: the submit handler concatenates the stored documents in
+// cell order and answers 202 in state done, so the campaign never waits
+// behind a simulating one, takes no queue slot and is never journaled.
+// Every other campaign is bounded: it waits in a fixed-capacity queue for
+// one of a fixed number of executor slots, and a submission that finds the
 // queue full is rejected immediately with 429 and a Retry-After hint —
 // the accept loop never blocks on simulation work. Each job runs under
 // its own context (DELETE cancels just that job), and Close cancels all
@@ -54,7 +59,7 @@ import (
 // campaign runner's and store's own instruments (shared registry, served
 // verbatim by /metrics).
 const (
-	MetricSubmitted    = "server_campaigns_submitted" // new jobs admitted to the queue
+	MetricSubmitted    = "server_campaigns_submitted" // new jobs admitted (queued, or answered from the store)
 	MetricResumed      = "server_campaigns_resumed"   // journaled jobs re-admitted after a restart
 	MetricDeduped      = "server_campaigns_deduped"   // submissions that joined an existing job
 	MetricRejected     = "server_campaigns_rejected"  // submissions bounced with 429 (queue full)
@@ -88,7 +93,8 @@ type Options struct {
 	// Store, if non-nil, is the durable content-addressed cell cache
 	// (campaign.Options.Store): executed cells are checkpointed under
 	// their fingerprints and replayed on later submissions, including
-	// across server restarts.
+	// across server restarts. A fixed-replica campaign whose every cell
+	// is stored is answered from the stored bytes at admission.
 	Store *store.Store
 	// Metrics receives the server's, runner's and store's telemetry; nil
 	// disables collection. /metrics serves this registry's snapshot.
@@ -103,7 +109,7 @@ type Options struct {
 	// fingerprint and merged in submission order — byte-identical to a
 	// local run at any fleet size, including across worker crashes.
 	Fleet *CoordinatorOptions
-	// Journal, if non-nil, makes admitted campaigns durable: every
+	// Journal, if non-nil, makes queued campaigns durable: every such
 	// admission and terminal state is appended, and New re-admits the
 	// journal's unfinished campaigns so a restart resumes them (cells
 	// already in Store replay from disk; the rest re-execute or
@@ -114,6 +120,7 @@ type Options struct {
 type serverMetrics struct {
 	submitted, resumed, deduped, rejected *metrics.Counter
 	completed, failed, cancelled, cellsEx *metrics.Counter
+	ckptHit                               *metrics.Counter
 	running, depth                        *metrics.Gauge
 	wall                                  *metrics.Histogram
 }
@@ -227,6 +234,7 @@ func New(opts Options) *Server {
 			failed:    reg.Counter(MetricFailed),
 			cancelled: reg.Counter(MetricCancelled),
 			cellsEx:   reg.Counter(MetricCellsExec),
+			ckptHit:   reg.Counter(campaign.MetricCheckpointHits),
 			running:   reg.Gauge(MetricRunning),
 			depth:     reg.Gauge(MetricQueueDepth),
 			wall:      reg.Histogram(MetricCampaignWall),
@@ -285,9 +293,7 @@ func (s *Server) resumeJournaled(campaigns []JournalCampaign) {
 			s.mu.Unlock()
 			continue
 		}
-		j := &job{id: id, spec: spec, state: api.StateQueued, changed: make(chan struct{})}
-		j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
-		j.publishLocked(api.Event{Type: api.EventState, State: api.StateQueued})
+		j := s.newJob(id, spec)
 		s.met.depth.Inc()
 		select {
 		case s.queue <- j:
@@ -303,6 +309,16 @@ func (s *Server) resumeJournaled(campaigns []JournalCampaign) {
 			s.met.depth.Dec()
 		}
 	}
+}
+
+// newJob returns a job in state queued. The queued event is published
+// before the job is visible to an executor, so the event stream always
+// starts with it.
+func (s *Server) newJob(id string, spec api.CampaignSpec) *job {
+	j := &job{id: id, spec: spec, state: api.StateQueued, changed: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
+	j.publishLocked(api.Event{Type: api.EventState, State: api.StateQueued})
+	return j
 }
 
 // Handler returns the service's HTTP handler.
@@ -419,6 +435,20 @@ func (s *Server) runJob(j *job) {
 }
 
 func (s *Server) finishJob(j *job, state string, result []byte, errMsg string) {
+	// A job that ended because Close cancelled it has not reached its
+	// outcome; its end is the restart's starting point, so the journal
+	// entry stays open and the next incarnation resumes the job. Every
+	// other end closes the entry: done, failed, or cancelled by a DELETE,
+	// whose cause a later Close cannot overwrite. The decision reads the
+	// job's own context, not the server's state now, so a Close that lands
+	// after the publish below changes nothing.
+	closes := state == api.StateDone || j.ctx.Err() == nil || errors.Is(context.Cause(j.ctx), errCancelRequested)
+	// A cancellation is journaled before it is published: once published,
+	// a resubmission admits the campaign afresh, and replay keeps that
+	// admission only if its record follows this one.
+	if closes && state == api.StateCancelled {
+		s.opts.Journal.Finished(j.id, state)
+	}
 	j.mu.Lock()
 	j.result = result
 	j.errMsg = errMsg
@@ -432,16 +462,55 @@ func (s *Server) finishJob(j *job, state string, result []byte, errMsg string) {
 	case api.StateCancelled:
 		s.met.cancelled.Inc()
 	}
-	// A job that ended because Close cancelled it has not reached its
-	// outcome; its end is the restart's starting point, so the journal
-	// entry stays open and the next incarnation resumes the job. Every
-	// other end closes the entry: done, failed, or cancelled by a DELETE,
-	// whose cause a later Close cannot overwrite. The decision reads the
-	// job's own context, not the server's state now, so a Close that lands
-	// after the publish above changes nothing.
-	if state == api.StateDone || j.ctx.Err() == nil || errors.Is(context.Cause(j.ctx), errCancelRequested) {
+	if closes && state != api.StateCancelled {
 		s.opts.Journal.Finished(j.id, state)
 	}
+}
+
+// answerStored finishes j at admission when it is a fixed-replica
+// campaign whose every cell is in the store. Its result is the stored
+// documents in cell order, and its events are those the executor publishes
+// for a campaign of checkpoint hits: running, one cell event per cell,
+// done. An uncounted existence pass runs first and stops at the first
+// missing cell, so a campaign with one costs the store no read. It
+// reports false and leaves j
+// untouched when there is no store, the campaign is adaptive, or a cell is
+// missing or unreadable; the queued runner then counts, and re-runs, what
+// it finds. j must not yet be visible to other goroutines.
+func (s *Server) answerStored(j *job) bool {
+	st := s.opts.Store
+	if st == nil || j.spec.Precision != nil {
+		return false
+	}
+	begin := time.Now()
+	seed := j.spec.Seed()
+	fps := make([]string, len(j.spec.Cells))
+	for i, c := range j.spec.Cells {
+		if fps[i] = api.CellFingerprint(seed, c); !st.Has(fps[i]) {
+			return false
+		}
+	}
+	docs := make([][]byte, len(fps))
+	for i, fp := range fps {
+		doc, err := st.LoadBytes(fp)
+		if doc == nil || err != nil {
+			return false
+		}
+		docs[i] = doc
+	}
+	j.publishLocked(api.Event{Type: api.EventState, State: api.StateRunning})
+	for _, c := range j.spec.Cells {
+		j.done++
+		j.publishLocked(api.Event{Type: api.EventCell, Key: c.Key})
+	}
+	j.state, j.cached, j.result = api.StateDone, true, bytes.Join(docs, nil)
+	j.publishLocked(api.Event{Type: api.EventState, State: api.StateDone})
+	j.cancel(nil)
+	s.met.submitted.Inc()
+	s.met.completed.Inc()
+	s.met.ckptHit.Add(uint64(len(fps)))
+	s.met.wall.Observe(time.Since(begin))
+	return true
 }
 
 // errCancelRequested is the cause a DELETE cancels its job with.
@@ -495,21 +564,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if existing, ok := s.jobs[id]; ok {
-		s.mu.Unlock()
-		s.met.deduped.Inc()
-		writeJSON(w, http.StatusOK, existing.status())
-		return
+		// Queued, running, done and failed jobs are joined. A cancelled
+		// one is not the campaign's outcome, so the campaign is admitted
+		// afresh.
+		if st := existing.status(); st.State != api.StateCancelled {
+			s.mu.Unlock()
+			s.met.deduped.Inc()
+			writeJSON(w, http.StatusOK, st)
+			return
+		}
 	}
 	if s.closed {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	j := &job{id: id, spec: spec, state: api.StateQueued, changed: make(chan struct{})}
-	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
-	// Publish the queued event before the job is visible to an executor,
-	// so the event stream always starts with it.
-	j.publishLocked(api.Event{Type: api.EventState, State: api.StateQueued})
+	j := s.newJob(id, spec)
+	if s.answerStored(j) {
+		// Done at admission: no queue slot, executor or journal record.
+		s.jobs[id] = j
+		s.mu.Unlock()
+		writeJSON(w, http.StatusAccepted, j.status())
+		return
+	}
 	s.met.depth.Inc() // before the enqueue, so the executor's Dec never races it negative
 	select {
 	case s.queue <- j:

@@ -219,6 +219,44 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterCancelAdmitsAfresh: a DELETE-cancelled job is not the
+// campaign's outcome, so submitting the same spec again admits a new job
+// under the same id, and that job runs to done.
+func TestResubmitAfterCancelAdmitsAfresh(t *testing.T) {
+	reg := metrics.NewRegistry()
+	exec, release := blockingExec()
+	s := New(Options{Jobs: 1, Metrics: reg, Execute: exec})
+	defer func() { release(); s.Close() }()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := specN(11, 2)
+	id := decodeStatus(t, postSpec(t, ts, spec)).ID
+	waitState(t, ts, id, api.StateRunning)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	release()
+	waitState(t, ts, id, api.StateCancelled)
+
+	resp = postSpec(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmission of a cancelled campaign: %d, want 202 (admitted afresh)", resp.StatusCode)
+	}
+	if st := decodeStatus(t, resp); st.ID != id || st.State == api.StateCancelled {
+		t.Fatalf("resubmission = %+v, want a live job for %s", st, id)
+	}
+	waitState(t, ts, id, api.StateDone)
+	for name, want := range map[string]uint64{MetricSubmitted: 2, MetricDeduped: 0, MetricCancelled: 1, MetricCompleted: 1} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestCancelFleetJobReportsCancelled: DELETE on a fleet-mode campaign whose
 // cells are waiting on the coordinator (no worker ever leases them) must
 // finish state=cancelled, not failed — ExecuteRemote surfaces the bare ctx

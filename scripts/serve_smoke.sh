@@ -8,7 +8,9 @@
 #   4. resubmit: assert the in-memory dedup joined the existing job
 #   5. restart latserved on the same cache dir, resubmit, and assert via
 #      /metrics that the result was served entirely from the
-#      content-addressed cache (zero cells executed, all checkpoint hits)
+#      content-addressed cache (zero cells executed, all checkpoint hits),
+#      and that the journal stayed empty: a campaign whose every cell is
+#      stored is answered at admission and never journaled
 #   6. run an adaptive (-precision) campaign through latctl submit and
 #      latctl local, and cmp both against cmd/reproduce -encode
 #
@@ -91,6 +93,8 @@ HITS=$(metric campaign_checkpoint_hits)
 [ "${EXEC:-1}" -eq 0 ] || fail "warm cache executed $EXEC cells, want 0"
 [ "${HITS:-0}" -ge 1 ] || fail "warm cache shows no checkpoint hits"
 echo "   warm cache: 0 cells executed, $HITS checkpoint hits"
+[ ! -s "$DIR/cache/latserved.journal" ] ||
+    fail "warm-cache campaign was journaled; it should be answered at admission"
 
 echo "== adaptive campaign: latctl submit and latctl local vs reproduce -encode"
 # ADAPTIVE is a flag list, expanded unquoted so it splits into words.
