@@ -5,7 +5,7 @@
 # one), plus the event-heap oracle, the step-body differential test, the
 # episode-order test and the steady-state allocation tests that guard the
 # pooled substrate and the storm, and a short fuzz pass over the result
-# codec's decoders.
+# codec's decoders and the fleet coordinator's worker completions.
 
 GO ?= go
 
@@ -112,10 +112,15 @@ bench-harness:
 
 # fuzz-smoke: ten seconds of native Go fuzzing per decoder of untrusted
 # result bytes — core.DecodeResult (checkpoint files and worker
-# completions) and the histogram parser beneath it. Each target asserts the
-# decoder never panics and that any input it accepts re-encodes to exactly
-# itself; the seed corpus is the codec's differential-test documents, whole,
-# truncated and with a byte flipped. go test fuzzes one target per run.
+# completions) and the histogram parser beneath it — and per worker
+# completion body through Coordinator.Complete. The codec targets assert
+# the decoder never panics and that any input it accepts re-encodes to
+# exactly itself; their seed corpus is the codec's differential-test
+# documents, whole, truncated and with a byte flipped. The completion
+# target asserts the coordinator never panics, merges a result only as its
+# exact canonical bytes for the leased fingerprint, and puts a rejected
+# leased cell back in the queue exactly once; its seeds are one real
+# payload and its corruptions. go test fuzzes one target per run.
 # Minimizing is off: shrinking one interesting multi-KB document took
 # longer than the whole pass, which then tried about a hundred inputs
 # instead of over a hundred thousand. A failing input is still saved under
@@ -123,6 +128,7 @@ bench-harness:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramJSON$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompleteRequest$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
 
 # cover: the coverage gate for the campaign runtime, the metrics registry,
 # (since fleet mode) the service wire types and the server — coordinator

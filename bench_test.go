@@ -272,7 +272,7 @@ func BenchmarkAblationMTTFValidation(b *testing.B) {
 		d := modem.Attach(m.Kernel, modem.Config{CycleMS: 4, Buffers: 2, Modality: modem.DPCBased})
 		gen := workload.New(workload.Games, m)
 		gen.Start()
-		m.Eng.After(m.MS(50), "pump", func(sim.Time) { d.Start() })
+		m.Eng.After(m.MS(50), func(sim.Time) { d.Start() })
 		m.RunFor(m.Freq().Cycles(benchDur))
 		if s, ok := d.MTTFSeconds(); ok {
 			direct = s
@@ -294,9 +294,9 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	n := 0
 	tick = func(sim.Time) {
 		n++
-		eng.After(100, "tick", tick)
+		eng.After(100, tick)
 	}
-	eng.After(100, "tick", tick)
+	eng.After(100, tick)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
@@ -344,13 +344,13 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	const depth = 64
 	var evs [depth]*sim.Event
 	for i := range evs {
-		evs[i] = eng.After(sim.Cycles(1000+i), "churn", nop)
+		evs[i] = eng.After(sim.Cycles(1000+i), nop)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % depth
 		eng.Cancel(evs[j])
-		evs[j] = eng.After(sim.Cycles(1000+j), "churn", nop)
+		evs[j] = eng.After(sim.Cycles(1000+j), nop)
 	}
 }
 

@@ -46,7 +46,7 @@ func main() {
 	m.RunFor(m.Freq().Cycles(200 * time.Millisecond))
 	gen := workload.New(workload.Games, m)
 	gen.Start()
-	m.Eng.After(m.MS(50), "start", func(sim.Time) { pt.Start() })
+	m.Eng.After(m.MS(50), func(sim.Time) { pt.Start() })
 	m.RunFor(m.Freq().Cycles(10 * time.Minute))
 	fmt.Printf("  releases %d, completions %d, deadline misses %d (%.3f%%), worst lateness %.1f ms\n",
 		pt.Releases(), pt.Completions(), pt.Misses(), pt.MissRate()*100,
@@ -72,7 +72,7 @@ func runOne(modality modem.Modality, buffers int, cycleMS float64) (uint64, floa
 	m.RunFor(m.Freq().Cycles(200 * time.Millisecond))
 	gen := workload.New(workload.Games, m)
 	gen.Start()
-	m.Eng.After(m.MS(50), "pump", func(sim.Time) { d.Start() })
+	m.Eng.After(m.MS(50), func(sim.Time) { d.Start() })
 	m.RunFor(m.Freq().Cycles(10 * time.Minute))
 	mttfs, ok := d.MTTFSeconds()
 	return d.Underruns(), mttfs, ok

@@ -104,12 +104,12 @@ type LeaseResponse struct {
 // cell. Exactly one of Result and Error is set. Result holds the cell's
 // canonical payload (EncodeCellResult: the core.EncodeResult document sans
 // trailing newline — the same content a local checkpoint file holds),
-// which the coordinator independently validates before merging (decode,
-// byte-exact canonical re-encode, fingerprint re-derivation from the
-// embedded config). Completion is idempotent: a delivery that finds no
-// pending or leased cell — already merged, its campaign cancelled, or
-// leased before a coordinator restart — is answered 410 and merges
-// nothing.
+// which the coordinator independently validates before merging: it must
+// decode through the canonical-only result parser, must not end in a
+// newline, and its embedded config must re-derive the leased fingerprint.
+// Completion is idempotent: a delivery that finds no pending or leased
+// cell — already merged, its campaign cancelled, or leased before a
+// coordinator restart — is answered 410 and merges nothing.
 type CompleteRequest struct {
 	Fingerprint string          `json:"fingerprint"`
 	Result      json.RawMessage `json:"result,omitempty"`

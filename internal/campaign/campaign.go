@@ -198,7 +198,7 @@ type Runner struct {
 	open      int                 // dispatched cells not yet finished
 	done      int                 // cells published (any outcome)
 	total     int                 // cells submitted
-	storeErrs []error             // checkpoint I/O problems (non-fatal per cell)
+	storeErrs []error             // checkpoint save failures (non-fatal per cell)
 }
 
 type pending struct {
@@ -309,9 +309,10 @@ func (r *Runner) Submit(cells ...Cell) {
 			res, err := st.Load(p.fp)
 			switch {
 			case err != nil:
-				// Unreadable or corrupt checkpoint: re-run the cell (the
-				// safe direction) and surface the problem through Wait.
-				r.storeErrs = append(r.storeErrs, fmt.Errorf("cell %q: %w", c.Key, err))
+				// Unreadable or corrupt checkpoint: count it and re-run
+				// the cell, whose Save then replaces the entry. The cell
+				// heals, so the campaign does not fail for it; a failed
+				// re-save still reaches Wait.
 				r.met.ckptCorrupt.Inc()
 			case res != nil:
 				r.met.ckptHit.Inc()
@@ -476,9 +477,11 @@ func (r *Runner) Merged(key string, runs int) (*core.Result, error) {
 
 // Wait blocks until every submitted cell has finished (or been published
 // as cancelled) and returns the campaign's aggregate error: one entry per
-// failed cell plus any checkpoint-store I/O problems, nil if everything
-// succeeded. Running cells always drain before Wait returns, so with a
-// Store attached their checkpoints are flushed even on cancellation.
+// failed cell plus any checkpoint that could not be saved, nil if
+// everything succeeded. A checkpoint that did not load is counted and its
+// cell re-run, not reported here. Running cells always drain before Wait
+// returns, so with a Store attached their checkpoints are flushed even on
+// cancellation.
 func (r *Runner) Wait() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -49,7 +49,7 @@ func TestEpisodeCapturesLockingFrames(t *testing.T) {
 	// measurement thread's next wakeup crosses the threshold and dumps the
 	// ring, which must contain VMM samples (the hook fires every 1 ms
 	// during the episode: DPCs and ISRs still run under a scheduler lock).
-	m.Eng.At(m.Now().Add(m.MS(10)), "inject", func(sim.Time) {
+	m.Eng.At(m.Now().Add(m.MS(10)), func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(12), "VMM", "_mmFindContig")
 	})
 	m.RunFor(m.Freq().Cycles(200 * time.Millisecond))
@@ -97,7 +97,7 @@ func TestFormatMatchesTable4Layout(t *testing.T) {
 	})
 	lat.Start()
 	m.RunFor(m.Freq().Cycles(100 * time.Millisecond))
-	m.Eng.At(m.Now().Add(m.MS(7)), "inject", func(sim.Time) {
+	m.Eng.At(m.Now().Add(m.MS(7)), func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(6), "SYSAUDIO", "_ProcessTopologyConnection")
 	})
 	m.RunFor(m.Freq().Cycles(100 * time.Millisecond))
@@ -136,7 +136,7 @@ func TestDetachRestoresVector(t *testing.T) {
 	fired := false
 	d := kernel.NewDPC("x", kernel.MediumImportance, func(c *kernel.DpcContext) { fired = true })
 	tm := m.Kernel.NewTimer("x")
-	m.Eng.At(m.Now().Add(1000), "arm", func(sim.Time) { m.Kernel.SetTimer(tm, m.MS(2), d) })
+	m.Eng.At(m.Now().Add(1000), func(sim.Time) { m.Kernel.SetTimer(tm, m.MS(2), d) })
 	m.RunFor(m.Freq().Cycles(50 * time.Millisecond))
 	if !fired {
 		t.Fatal("clock broken after Detach")

@@ -45,9 +45,9 @@ func TestNMISeesInsideMaskedWindowsPITDoesNot(t *testing.T) {
 		var inject func(sim.Time)
 		inject = func(sim.Time) {
 			m.Kernel.InjectEpisode(kernel.MaskInterrupts, m.MS(5), "VXD", "_MaskedRegion")
-			m.Eng.After(m.MS(50), "inj", inject)
+			m.Eng.After(m.MS(50), inject)
 		}
-		m.Eng.After(m.MS(10), "inj", inject)
+		m.Eng.After(m.MS(10), inject)
 		m.RunFor(m.Freq().Cycles(2 * time.Second))
 		// Dump everything currently in the ring as one episode.
 		tool.OnLatency(m.MS(40))
@@ -87,10 +87,10 @@ func TestStackWalkingProducesCallTrees(t *testing.T) {
 	d := kernel.NewDPC("LONGDPC", kernel.MediumImportance, func(c *kernel.DpcContext) {
 		c.Charge(m.MS(4))
 	})
-	m.Eng.At(sim.Time(m.MS(10)), "ep", func(sim.Time) {
+	m.Eng.At(sim.Time(m.MS(10)), func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(12), "VMM", "_mmFindContig")
 	})
-	m.Eng.At(sim.Time(m.MS(12)), "dpc", func(sim.Time) { m.Kernel.QueueDpc(d) })
+	m.Eng.At(sim.Time(m.MS(12)), func(sim.Time) { m.Kernel.QueueDpc(d) })
 	m.RunFor(m.Freq().Cycles(40 * time.Millisecond))
 	tool.OnLatency(m.MS(35)) // window covers the episode at 10-22 ms
 
@@ -127,7 +127,7 @@ func TestFormatIncludesCallTrees(t *testing.T) {
 		WalkStack:    true,
 		RingSize:     512,
 	})
-	m.Eng.At(sim.Time(m.MS(5)), "ep", func(sim.Time) {
+	m.Eng.At(sim.Time(m.MS(5)), func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(8), "VMM", "_X")
 	})
 	m.RunFor(m.Freq().Cycles(20 * time.Millisecond))

@@ -119,7 +119,7 @@ func TestADSLFeasibility(t *testing.T) {
 		m.RunFor(m.Freq().Cycles(200 * time.Millisecond))
 		gen := workload.New(workload.Games, m)
 		gen.Start()
-		m.Eng.After(m.MS(50), "pump", func(sim.Time) { d.Start() })
+		m.Eng.After(m.MS(50), func(sim.Time) { d.Start() })
 		m.RunFor(m.Freq().Cycles(2 * time.Minute))
 		return d.Underruns()
 	}

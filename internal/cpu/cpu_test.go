@@ -16,7 +16,7 @@ func TestTSCTracksEngineClock(t *testing.T) {
 	if c.TSC() != 0 {
 		t.Fatalf("TSC at boot = %d", c.TSC())
 	}
-	eng.At(500, "x", func(sim.Time) {})
+	eng.At(500, func(sim.Time) {})
 	eng.RunUntil(1000)
 	if c.TSC() != 1000 {
 		t.Fatalf("TSC = %d, want 1000", c.TSC())

@@ -108,15 +108,6 @@ func (d *Disk) Submit(req *DiskRequest) {
 	d.kick()
 }
 
-// QueueLen returns the number of requests waiting or in flight.
-func (d *Disk) QueueLen() int {
-	n := len(d.queue)
-	if d.busy {
-		n++
-	}
-	return n
-}
-
 // Transfers returns the number of completed transfers.
 func (d *Disk) Transfers() uint64 { return d.total }
 
@@ -143,7 +134,7 @@ func (d *Disk) kick() {
 	d.totalWait += req.started.Sub(req.submitted)
 	service := d.serviceTime(req)
 	d.inflight = req
-	d.eng.After(service, "disk-xfer", d.xferDone)
+	d.eng.After(service, d.xferDone)
 }
 
 func (d *Disk) serviceTime(req *DiskRequest) sim.Cycles {

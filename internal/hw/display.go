@@ -53,7 +53,7 @@ func (d *Display) Start(period sim.Cycles) {
 }
 
 func (d *Display) arm() {
-	d.tick = d.eng.After(d.period, "vblank", d.tickFn)
+	d.tick = d.eng.After(d.period, d.tickFn)
 }
 
 // Stop halts the raster.

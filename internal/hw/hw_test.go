@@ -122,10 +122,10 @@ func TestDiskQueuesFIFO(t *testing.T) {
 			}
 		}
 		if len(order) < 3 {
-			eng.After(10, "poll", poll)
+			eng.After(10, poll)
 		}
 	}
-	eng.After(10, "poll", poll)
+	eng.After(10, poll)
 	eng.RunUntil(100_000)
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)

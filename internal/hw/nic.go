@@ -151,7 +151,7 @@ func (n *NIC) DeliverBurst(packets, bytes int) {
 	rx := func(sim.Time) { n.receive(bytes) }
 	for i := 0; i < packets; i++ {
 		delay := sim.Cycles(i) * n.InterPacketGap
-		n.eng.After(delay, "nic-rx", rx)
+		n.eng.After(delay, rx)
 	}
 }
 
@@ -202,7 +202,7 @@ func (n *NIC) tryAssert() {
 		return
 	}
 	if n.throttle == nil {
-		n.throttle = n.eng.After(next.Sub(now), "nic-itr", n.throttleFn)
+		n.throttle = n.eng.After(next.Sub(now), n.throttleFn)
 	}
 }
 

@@ -29,9 +29,9 @@ func TestNICSustainedStormKeepsBackingBounded(t *testing.T) {
 				t.Fatalf("drained packet size %d, want 1500", got[0])
 			}
 		}
-		eng.After(25, "drv-poll", poll)
+		eng.After(25, poll)
 	}
-	eng.After(25, "drv-poll", poll)
+	eng.After(25, poll)
 	eng.RunUntil(1000) // storm window: arrivals end at t=990
 
 	if n.Pending() == 0 {
@@ -104,7 +104,7 @@ func TestNICITRFirstAssertImmediateThenDeferred(t *testing.T) {
 	var at []sim.Time
 	n := NewNIC(eng, LineFunc(func() { at = append(at, eng.Now()) }), 64, 10)
 	n.SetModeration(ModerateITR, 1000, 0, 0)
-	eng.After(100, "p1", func(sim.Time) { n.Deliver(1500) })
+	eng.After(100, func(sim.Time) { n.Deliver(1500) })
 	eng.RunUntil(150)
 	if len(at) != 1 || at[0] != 100 {
 		t.Fatalf("first packet should assert immediately: %v", at)
@@ -112,7 +112,7 @@ func TestNICITRFirstAssertImmediateThenDeferred(t *testing.T) {
 	n.Drain(10)
 	// Second packet lands inside the throttle window: the assertion must be
 	// deferred to exactly lastAssert+gap.
-	eng.After(150, "p2", func(sim.Time) { n.Deliver(1500) }) // arrives at t=300
+	eng.After(150, func(sim.Time) { n.Deliver(1500) }) // arrives at t=300
 	eng.RunUntil(2000)
 	if len(at) != 2 {
 		t.Fatalf("asserts = %v, want deferred second assert", at)
@@ -152,8 +152,8 @@ func TestNICAdaptiveGapWidensAndTightens(t *testing.T) {
 func TestNICDrainTimedReportsQueueingDelay(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := NewNIC(eng, LineFunc(func() {}), 64, 10)
-	eng.After(100, "p1", func(sim.Time) { n.Deliver(1500) })
-	eng.After(300, "p2", func(sim.Time) { n.Deliver(1500) })
+	eng.After(100, func(sim.Time) { n.Deliver(1500) })
+	eng.After(300, func(sim.Time) { n.Deliver(1500) })
 	eng.RunUntil(500)
 	pkts, waits := n.DrainTimed(10)
 	if len(pkts) != 2 || len(waits) != 2 {

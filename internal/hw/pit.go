@@ -49,7 +49,7 @@ func (p *PIT) Program(period sim.Cycles) {
 }
 
 func (p *PIT) arm() {
-	p.tick = p.eng.After(p.period, "pit-tick", p.tickFn)
+	p.tick = p.eng.After(p.period, p.tickFn)
 }
 
 // Stop halts the timer.

@@ -82,7 +82,7 @@ func (s *Sound) Stop() {
 }
 
 func (s *Sound) arm() {
-	s.tick = s.eng.After(s.period, "sound-period", s.tickFn)
+	s.tick = s.eng.After(s.period, s.tickFn)
 }
 
 // Refill adds one refilled buffer (the driver DPC calls this). Refilling a

@@ -123,9 +123,9 @@ func Run(cfg Config) *Result {
 		pressedAt = m.Eng.Now()
 		m.UIEvent() // the input also exercises the UI path (Win16 lock &c.)
 		m.Kernel.SetEvent(wake)
-		m.Eng.After(sim.Cycles(rng.Exp(float64(m.MS(cfg.EventEveryMS))))+m.MS(1), "press", press)
+		m.Eng.After(sim.Cycles(rng.Exp(float64(m.MS(cfg.EventEveryMS))))+m.MS(1), press)
 	}
-	m.Eng.After(m.MS(50), "press", press)
+	m.Eng.After(m.MS(50), press)
 
 	m.RunFor(m.Freq().Cycles(200 * time.Millisecond))
 	if !cfg.Idle {

@@ -40,13 +40,11 @@ func (k activityKind) String() string {
 //
 // Records are pooled on the owning kernel (newActivity/releaseActivity):
 // activities are created and completed on every interrupt, DPC and context
-// switch, so recycling them — together with the precomputed doneLabel and
-// the once-per-record fire closure — keeps the dispatch loop allocation-free.
+// switch, so recycling them — together with the once-per-record fire
+// closure — keeps the dispatch loop allocation-free.
 type activity struct {
 	kind       activityKind
 	level      int
-	label      string
-	doneLabel  string // completion-event label, precomputed by the creator
 	frame      cpu.Frame
 	remaining  sim.Cycles
 	resumedAt  sim.Time   // when the activity last (re)started running
@@ -74,9 +72,7 @@ func (a *activity) suspend(eng *sim.Engine, now sim.Time) {
 // or above its level; it is admitted by the dispatch loop as soon as the
 // occupancy drops.
 type pendingEpisode struct {
-	level     int
-	duration  sim.Cycles
-	frame     cpu.Frame
-	label     string
-	doneLabel string
+	level    int
+	duration sim.Cycles
+	frame    cpu.Frame
 }

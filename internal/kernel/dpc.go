@@ -40,12 +40,10 @@ type DPC struct {
 	Importance Importance
 	fn         func(*DpcContext)
 
-	doneLabel string      // precomputed completion-event label
-	ctx       *DpcContext // reusable body context, bound on first run
+	ctx *DpcContext // reusable body context, bound on first run
 
 	queued   bool
 	queuedAt sim.Time
-	runs     uint64
 }
 
 // NewDPC initializes a DPC (KeInitializeDpc).
@@ -53,11 +51,8 @@ func NewDPC(name string, imp Importance, fn func(*DpcContext)) *DPC {
 	if fn == nil {
 		panic("kernel: nil DPC body")
 	}
-	return &DPC{Name: name, Importance: imp, fn: fn, doneLabel: "dpc:" + name}
+	return &DPC{Name: name, Importance: imp, fn: fn}
 }
-
-// Runs returns how many times the DPC has executed.
-func (d *DPC) Runs() uint64 { return d.runs }
 
 // Queued reports whether the DPC is currently in the queue.
 func (d *DPC) Queued() bool { return d.queued }
@@ -134,14 +129,11 @@ func (k *Kernel) startDPC() {
 	k.dpcQ[n] = nil
 	k.dpcQ = k.dpcQ[:n]
 	d.queued = false
-	d.runs++
 	k.counters.DPCs++
 
 	act := k.newActivity()
 	act.kind = actDPC
 	act.level = levelDispatch
-	act.label = d.Name
-	act.doneLabel = d.doneLabel
 	act.frame = cpu.Frame{Module: d.Name, Function: "DPC"}
 	k.occupy(act)
 
@@ -156,6 +148,3 @@ func (k *Kernel) startDPC() {
 	d.fn(d.ctx)
 	act.remaining = k.cpu.ResetCharge()
 }
-
-// DpcQueueLen returns the number of DPCs currently queued.
-func (k *Kernel) DpcQueueLen() int { return len(k.dpcQ) }

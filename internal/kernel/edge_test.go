@@ -97,11 +97,11 @@ func TestTimerRearmWhileDpcQueued(t *testing.T) {
 	runs := 0
 	d := kernel.NewDPC("t", kernel.MediumImportance, func(c *kernel.DpcContext) { runs++ })
 	tm := b.k.NewTimer("t")
-	b.eng.At(100, "arm", func(sim.Time) { b.k.SetTimer(tm, tickPeriod/2, d) })
+	b.eng.At(100, func(sim.Time) { b.k.SetTimer(tm, tickPeriod/2, d) })
 	// Re-arm immediately after the expected fire, before the engine lets
 	// the DPC run... the kernel processes the tick atomically, so arm at
 	// the same timestamp as the tick instead.
-	b.eng.At(tickPeriod, "rearm", func(sim.Time) { b.k.SetTimer(tm, tickPeriod/2, d) })
+	b.eng.At(tickPeriod, func(sim.Time) { b.k.SetTimer(tm, tickPeriod/2, d) })
 	b.eng.RunUntil(10 * tickPeriod)
 	if runs != 2 {
 		t.Fatalf("DPC ran %d times, want 2 (one per firing)", runs)
@@ -110,7 +110,7 @@ func TestTimerRearmWhileDpcQueued(t *testing.T) {
 
 func TestEpisodeWhileIdleRunsImmediately(t *testing.T) {
 	b := newBench(t, 1, false)
-	b.eng.At(1000, "ep", func(sim.Time) {
+	b.eng.At(1000, func(sim.Time) {
 		b.k.InjectEpisode(kernel.LockScheduler, 50_000, "VMM", "_X")
 	})
 	b.eng.RunUntil(100_000)
@@ -208,11 +208,11 @@ func TestSpuriousAssertCounted(t *testing.T) {
 	// Assert twice while masked: the second is spurious (level-triggered
 	// line already pending).
 	intr := b.k.Connect(40, 16, "A", "_ISR", func(c *kernel.IsrContext) {})
-	b.eng.At(100, "mask", func(sim.Time) {
+	b.eng.At(100, func(sim.Time) {
 		b.k.InjectEpisode(kernel.MaskInterrupts, 100_000, "VXD", "_X")
 	})
-	b.eng.At(200, "a1", func(sim.Time) { intr.Assert() })
-	b.eng.At(300, "a2", func(sim.Time) { intr.Assert() })
+	b.eng.At(200, func(sim.Time) { intr.Assert() })
+	b.eng.At(300, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(1_000_000)
 	if intr.Asserts() != 1 || intr.Spurious() != 1 {
 		t.Fatalf("asserts = %d spurious = %d, want 1/1", intr.Asserts(), intr.Spurious())

@@ -69,13 +69,10 @@ func (k *Kernel) InjectEpisode(kind EpisodeKind, duration sim.Cycles, module, fu
 		}
 		q = &k.lockQ
 	}
-	lbl := k.episodeLabels(module, function)
 	ep := k.newEpisode()
 	ep.level = kind.level()
 	ep.duration = duration
 	ep.frame = cpu.Frame{Module: module, Function: function}
-	ep.label = lbl.label
-	ep.doneLabel = lbl.doneLabel
 	q.push(ep)
 	k.maybeRun()
 }
@@ -123,8 +120,6 @@ func (k *Kernel) startEpisode(ep *pendingEpisode) {
 	act := k.newActivity()
 	act.kind = actEpisode
 	act.level = ep.level
-	act.label = ep.label
-	act.doneLabel = ep.doneLabel
 	act.frame = ep.frame
 	act.remaining = ep.duration
 	k.occupy(act)

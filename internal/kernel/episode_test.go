@@ -192,10 +192,10 @@ func TestEpisodeQueuesKeepAdmissionOrder(t *testing.T) {
 				k.SetEvent(wake[rng.Intn(len(wake))])
 			}
 			if now < injectUntil {
-				eng.After(sim.Cycles(1+rng.Intn(maxGap)), "kick", kick)
+				eng.After(sim.Cycles(1+rng.Intn(maxGap)), kick)
 			}
 		}
-		eng.After(1, "kick", kick)
+		eng.After(1, kick)
 		for eng.Now() < horizon && eng.Step() {
 			r.observe(t, k)
 		}

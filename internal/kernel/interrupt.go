@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"strconv"
 
 	"wdmlat/internal/cpu"
 	"wdmlat/internal/sim"
@@ -18,11 +17,7 @@ type Interrupt struct {
 	Function string
 	isr      func(*IsrContext)
 
-	// Precomputed at Connect so acceptInterrupt does no per-delivery
-	// formatting, plus a reusable ISR context (ISRs run one at a time).
-	actLabel  string
-	doneLabel string
-	ctx       *IsrContext
+	ctx *IsrContext // reusable ISR context (ISRs run one at a time)
 
 	pending    bool
 	assertedAt sim.Time
@@ -53,12 +48,6 @@ func (c *IsrContext) QueueDpc(d *DPC) bool { return c.k.queueDpc(d) }
 // Vector returns the interrupt vector being serviced.
 func (c *IsrContext) Vector() int { return c.irq.Vector }
 
-// AssertedAt returns the ground-truth assertion time of the interrupt being
-// serviced. The paper's drivers cannot see this (they estimate it, §2.2);
-// it is exposed for oracle-mode validation only and is clearly labelled as
-// such wherever used.
-func (c *IsrContext) AssertedAt() sim.Time { return c.irq.assertedAt }
-
 // Connect claims vector for a driver ISR running at irql, installing the
 // kernel's interrupt trampoline in the IDT (IoConnectInterrupt).
 func (k *Kernel) Connect(vector int, irql IRQL, module, function string, isr func(*IsrContext)) *Interrupt {
@@ -69,8 +58,6 @@ func (k *Kernel) Connect(vector int, irql IRQL, module, function string, isr fun
 		panic(fmt.Sprintf("kernel: cannot connect ISR at %v", irql))
 	}
 	intr := &Interrupt{k: k, Vector: vector, Irql: irql, Module: module, Function: function, isr: isr}
-	intr.actLabel = module + " vec" + strconv.Itoa(vector)
-	intr.doneLabel = "isr:" + intr.actLabel
 	intr.ctx = &IsrContext{k: k, irq: intr}
 	k.interrupts[vector] = intr
 	k.irqList = append(k.irqList, intr)
@@ -164,8 +151,6 @@ func (k *Kernel) acceptInterrupt(intr *Interrupt) {
 	act := k.newActivity()
 	act.kind = actISR
 	act.level = isrLevel(intr.Irql)
-	act.label = intr.actLabel
-	act.doneLabel = intr.doneLabel
 	act.frame = cpu.Frame{Module: intr.Module, Function: intr.Function}
 	k.occupy(act)
 

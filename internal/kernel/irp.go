@@ -16,22 +16,20 @@ type IRP struct {
 	// user-mode completion routine of ReadFileEx.
 	OnComplete func(irp *IRP, completedAt sim.Time)
 
-	completed   bool
-	createdAt   sim.Time
-	completedAt sim.Time
+	completed bool
 }
 
-// NewIRP allocates a request packet stamped with its creation time,
-// reusing a pooled packet when one is available.
+// NewIRP allocates a request packet, reusing a pooled packet when one is
+// available.
 func (k *Kernel) NewIRP() *IRP {
 	if n := len(k.irpFree); n > 0 {
 		irp := k.irpFree[n-1]
 		k.irpFree[n-1] = nil
 		k.irpFree = k.irpFree[:n-1]
-		*irp = IRP{createdAt: k.now()}
+		*irp = IRP{}
 		return irp
 	}
-	return &IRP{createdAt: k.now()}
+	return &IRP{}
 }
 
 // FreeIRP returns a completed packet to the kernel's pool. The caller
@@ -52,9 +50,6 @@ func (k *Kernel) FreeIRP(irp *IRP) {
 // Completed reports whether the IRP has been completed.
 func (irp *IRP) Completed() bool { return irp.completed }
 
-// CompletedAt returns when the IRP completed (zero if not yet).
-func (irp *IRP) CompletedAt() sim.Time { return irp.completedAt }
-
 // completeIrp is IoCompleteRequest: mark the packet done and deliver it to
 // its originator. Completing an already-completed IRP panics — the real
 // bug check (MULTIPLE_IRP_COMPLETE_REQUESTS) is fatal too.
@@ -63,9 +58,8 @@ func (k *Kernel) completeIrp(irp *IRP) {
 		panic("kernel: IRP completed twice")
 	}
 	irp.completed = true
-	irp.completedAt = k.now()
 	if irp.OnComplete != nil {
-		irp.OnComplete(irp, irp.completedAt)
+		irp.OnComplete(irp, k.now())
 	}
 }
 

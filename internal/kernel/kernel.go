@@ -120,13 +120,12 @@ type Kernel struct {
 	rng *sim.RNG
 
 	// CPU occupancy above thread level.
-	stack    []*activity
-	maskQ    episodeQueue      // pending MaskInterrupts episodes
-	lockQ    episodeQueue      // pending LockScheduler episodes
-	actFree  []*activity       // recycled activity records
-	epFree   []*pendingEpisode // recycled pending-episode records
-	irpFree  []*IRP            // recycled request packets (FreeIRP)
-	epLabels map[epLabelKey]epLabelVal
+	stack   []*activity
+	maskQ   episodeQueue      // pending MaskInterrupts episodes
+	lockQ   episodeQueue      // pending LockScheduler episodes
+	actFree []*activity       // recycled activity records
+	epFree  []*pendingEpisode // recycled pending-episode records
+	irpFree []*IRP            // recycled request packets (FreeIRP)
 
 	// Interrupt state. irqList mirrors the map for iteration (Go map walks
 	// cost an iterator setup per call, and the dispatch loop polls every
@@ -314,33 +313,10 @@ func (k *Kernel) newActivity() *activity {
 // releaseActivity returns a completed record to the pool, dropping any
 // per-use closure so the pool does not pin captured state alive.
 func (k *Kernel) releaseActivity(act *activity) {
-	act.label = ""
-	act.doneLabel = ""
 	act.frame = cpu.Frame{}
 	act.onComplete = nil
 	act.remaining = 0
 	k.actFree = append(k.actFree, act)
-}
-
-// epLabelKey / epLabelVal cache the "module:function" episode labels:
-// episodes are injected at interrupt rates from a small fixed set of
-// profile frames, so the concatenation is paid once per distinct frame
-// rather than once per episode.
-type epLabelKey struct{ module, function string }
-type epLabelVal struct{ label, doneLabel string }
-
-func (k *Kernel) episodeLabels(module, function string) epLabelVal {
-	key := epLabelKey{module, function}
-	if v, ok := k.epLabels[key]; ok {
-		return v
-	}
-	if k.epLabels == nil {
-		k.epLabels = make(map[epLabelKey]epLabelVal)
-	}
-	l := module + ":" + function
-	v := epLabelVal{label: l, doneLabel: "episode:" + l}
-	k.epLabels[key] = v
-	return v
 }
 
 // newEpisode returns a recycled pending-episode record or a fresh one.
@@ -366,7 +342,7 @@ func (k *Kernel) resumeTop() {
 		return // already running
 	}
 	act.resumedAt = k.now()
-	act.done = k.eng.After(act.remaining, act.doneLabel, act.fire)
+	act.done = k.eng.After(act.remaining, act.fire)
 }
 
 // occupy suspends whatever is currently using the CPU and pushes act on the
@@ -377,8 +353,9 @@ func (k *Kernel) occupy(act *activity) {
 	if n := len(k.stack); n > 0 {
 		topAct := k.stack[n-1]
 		if act.level <= topAct.level {
-			panic(fmt.Sprintf("kernel: %s level %d cannot preempt %s level %d",
-				act.label, act.level, topAct.label, topAct.level))
+			panic(fmt.Sprintf("kernel: %s %s!%s level %d cannot preempt %s %s!%s level %d",
+				act.kind, act.frame.Module, act.frame.Function, act.level,
+				topAct.kind, topAct.frame.Module, topAct.frame.Function, topAct.level))
 		}
 		k.suspendActivity(topAct, now)
 	} else if k.current != nil && k.current.execDone != nil {

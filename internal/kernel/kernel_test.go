@@ -56,9 +56,9 @@ func newBench(t *testing.T, seed uint64, withClock bool) *bench {
 		var tick func(sim.Time)
 		tick = func(sim.Time) {
 			b.pit.Assert()
-			eng.After(tickPeriod, "pit", tick)
+			eng.After(tickPeriod, tick)
 		}
-		eng.After(tickPeriod, "pit", tick)
+		eng.After(tickPeriod, tick)
 	}
 	t.Cleanup(k.Shutdown)
 	return b
@@ -177,7 +177,7 @@ func TestSynchronizationEventAutoClears(t *testing.T) {
 			woken++
 		})
 	}
-	b.eng.At(1000, "set", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(1000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(1_000_000)
 	if woken != 1 {
 		t.Fatalf("sync event woke %d waiters, want exactly 1", woken)
@@ -197,7 +197,7 @@ func TestNotificationEventWakesAllAndLatches(t *testing.T) {
 			woken++
 		})
 	}
-	b.eng.At(1000, "set", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(1000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(1_000_000)
 	if woken != 3 {
 		t.Fatalf("notification event woke %d waiters, want 3", woken)
@@ -207,7 +207,7 @@ func TestNotificationEventWakesAllAndLatches(t *testing.T) {
 	}
 	// A later waiter passes straight through.
 	passed := false
-	b.eng.At(2_000_000, "late", func(sim.Time) {
+	b.eng.At(2_000_000, func(sim.Time) {
 		b.k.CreateThread("late", 15, func(tc *kernel.ThreadContext) {
 			tc.Wait(ev)
 			passed = true
@@ -250,12 +250,12 @@ func TestSemaphore(t *testing.T) {
 			entered++
 		})
 	}
-	b.eng.At(1000, "rel2", func(sim.Time) { b.k.ReleaseSemaphore(sem, 2) })
+	b.eng.At(1000, func(sim.Time) { b.k.ReleaseSemaphore(sem, 2) })
 	b.eng.RunUntil(1_000_000)
 	if entered != 2 {
 		t.Fatalf("semaphore admitted %d, want 2", entered)
 	}
-	b.eng.At(2_000_000, "rel1", func(sim.Time) { b.k.ReleaseSemaphore(sem, 1) })
+	b.eng.At(2_000_000, func(sim.Time) { b.k.ReleaseSemaphore(sem, 1) })
 	b.eng.RunUntil(3_000_000)
 	if entered != 3 {
 		t.Fatalf("semaphore admitted %d, want 3", entered)
@@ -329,7 +329,7 @@ func TestWaitTimeoutRaceWithSignal(t *testing.T) {
 		status = tc.WaitTimeout(ev, 50_000)
 	})
 	// Signal well before the timeout.
-	b.eng.At(10_000, "set", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(10_000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(10_000_000)
 	if status != kernel.WaitSuccess {
 		t.Fatalf("status = %v, want success", status)
@@ -370,7 +370,7 @@ func TestDpcRunsAfterIsrAndFIFO(t *testing.T) {
 		c.QueueDpc(d2)
 		c.QueueDpc(hi) // high importance jumps the queue
 	})
-	b.eng.At(1000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(1000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(1_000_000)
 	want := []string{"isr", "hi", "d1", "d2"}
 	if len(order) != len(want) {
@@ -394,7 +394,7 @@ func TestDpcDoubleQueueRejected(t *testing.T) {
 		first = c.QueueDpc(d)
 		second = c.QueueDpc(d)
 	})
-	b.eng.At(1000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(1000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(1_000_000)
 	if !first {
 		t.Fatal("first queue should succeed")
@@ -418,7 +418,7 @@ func TestInterruptPreemptsThreadExec(t *testing.T) {
 		tc.Exec(100_000)
 		finished = tc.Now()
 	})
-	b.eng.At(50_000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(50_000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(10_000_000)
 
 	if isrAt != 50_000+costIsrEntry {
@@ -445,9 +445,9 @@ func TestHigherIrqlInterruptNestsOverLower(t *testing.T) {
 		c.Charge(1000)
 	})
 	_ = high
-	b.eng.At(1000, "low", func(sim.Time) { low.Assert() })
+	b.eng.At(1000, func(sim.Time) { low.Assert() })
 	// Arrives while the low ISR occupies the CPU: must nest immediately.
-	b.eng.At(5000, "high", func(sim.Time) { b.k.InterruptForVector(41).Assert() })
+	b.eng.At(5000, func(sim.Time) { b.k.InterruptForVector(41).Assert() })
 	b.eng.RunUntil(1_000_000)
 	want := []string{"low-enter", "high-enter"}
 	if len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
@@ -466,8 +466,8 @@ func TestEqualIrqlInterruptWaits(t *testing.T) {
 	}
 	a, c2 := mk(40), mk(41)
 	_ = c2
-	b.eng.At(1000, "a", func(sim.Time) { a.Assert() })
-	b.eng.At(2000, "b", func(sim.Time) { b.k.InterruptForVector(41).Assert() })
+	b.eng.At(1000, func(sim.Time) { a.Assert() })
+	b.eng.At(2000, func(sim.Time) { b.k.InterruptForVector(41).Assert() })
 	b.eng.RunUntil(1_000_000)
 	if len(entries) != 2 {
 		t.Fatalf("entries = %v", entries)
@@ -486,7 +486,7 @@ func TestTimerFiresOnTickAndQueuesDpc(t *testing.T) {
 		dpcAt = c.Now()
 	})
 	tm := b.k.NewTimer("t")
-	b.eng.At(100, "set", func(sim.Time) { b.k.SetTimer(tm, sim.Cycles(tickPeriod/2), d) })
+	b.eng.At(100, func(sim.Time) { b.k.SetTimer(tm, sim.Cycles(tickPeriod/2), d) })
 	b.eng.RunUntil(10 * tickPeriod)
 	if dpcAt == 0 {
 		t.Fatal("timer DPC never ran")
@@ -507,7 +507,7 @@ func TestPeriodicTimer(t *testing.T) {
 		times = append(times, c.Now())
 	})
 	tm := b.k.NewTimer("pt")
-	b.eng.At(100, "set", func(sim.Time) {
+	b.eng.At(100, func(sim.Time) {
 		b.k.SetPeriodicTimer(tm, tickPeriod, 2*tickPeriod, d)
 	})
 	b.eng.RunUntil(11 * tickPeriod)
@@ -527,8 +527,8 @@ func TestCancelTimer(t *testing.T) {
 	fired := false
 	d := kernel.NewDPC("cd", kernel.MediumImportance, func(c *kernel.DpcContext) { fired = true })
 	tm := b.k.NewTimer("c")
-	b.eng.At(100, "set", func(sim.Time) { b.k.SetTimer(tm, 5*tickPeriod, d) })
-	b.eng.At(200, "cancel", func(sim.Time) {
+	b.eng.At(100, func(sim.Time) { b.k.SetTimer(tm, 5*tickPeriod, d) })
+	b.eng.At(200, func(sim.Time) {
 		if !b.k.CancelTimer(tm) {
 			t.Error("cancel should report armed")
 		}
@@ -570,10 +570,10 @@ func TestSchedLockEpisodeDelaysThreadButNotDpc(t *testing.T) {
 		threadAt = tc.Now()
 	})
 	const epLen = 3_000_000 // 10 ms
-	b.eng.At(100_000, "ep", func(sim.Time) {
+	b.eng.At(100_000, func(sim.Time) {
 		b.k.InjectEpisode(kernel.LockScheduler, epLen, "VMM", "_LegacyRegion")
 	})
-	b.eng.At(200_000, "dpc", func(sim.Time) { b.k.QueueDpc(d) })
+	b.eng.At(200_000, func(sim.Time) { b.k.QueueDpc(d) })
 	b.eng.RunUntil(10_000_000)
 
 	// The DPC preempts the scheduler-locked episode: runs ~immediately.
@@ -594,10 +594,10 @@ func TestMaskInterruptsEpisodeDelaysIsr(t *testing.T) {
 		isrAt = c.Now()
 	})
 	const epLen = 600_000 // 2 ms
-	b.eng.At(100_000, "ep", func(sim.Time) {
+	b.eng.At(100_000, func(sim.Time) {
 		b.k.InjectEpisode(kernel.MaskInterrupts, epLen, "VXD", "_CliRegion")
 	})
-	b.eng.At(200_000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(200_000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(10_000_000)
 	wantMin := sim.Time(100_000 + epLen)
 	if isrAt < wantMin {
@@ -640,12 +640,12 @@ func TestWorkerInterferesWithDefaultRTButNotHigh(t *testing.T) {
 			ran = tc.Now()
 		})
 		const burst = 3_000_000 // 10 ms work item
-		b.eng.At(100_000, "wi", func(sim.Time) {
+		b.eng.At(100_000, func(sim.Time) {
 			b.k.QueueWorkItem(&kernel.WorkItem{Name: "burst", Cycles: burst})
 		})
 		// Signal while the worker is mid-burst, just after a quantum refresh
 		// so the round-robin wait is nearly a full quantum.
-		b.eng.At(410_000, "set", func(sim.Time) {
+		b.eng.At(410_000, func(sim.Time) {
 			readied = b.eng.Now()
 			b.k.SetEvent(ev)
 		})
@@ -671,7 +671,7 @@ func TestIrpCompletionCallback(t *testing.T) {
 	irp := b.k.NewIRP()
 	var completedAt sim.Time
 	irp.OnComplete = func(i *kernel.IRP, at sim.Time) { completedAt = at }
-	b.eng.At(5000, "complete", func(sim.Time) { b.k.CompleteIrp(irp) })
+	b.eng.At(5000, func(sim.Time) { b.k.CompleteIrp(irp) })
 	b.eng.RunUntil(10_000)
 	if !irp.Completed() || completedAt != 5000 {
 		t.Fatalf("completed=%v at %d", irp.Completed(), completedAt)
@@ -712,7 +712,7 @@ func TestFigure3Chain(t *testing.T) {
 		}
 	})
 	tm := b.k.NewTimer("gTimer")
-	b.eng.At(1000, "read", func(sim.Time) {
+	b.eng.At(1000, func(sim.Time) {
 		tsc[0] = b.cpu.TSC()
 		b.k.SetTimer(tm, 2*tickPeriod, d)
 	})
@@ -791,8 +791,8 @@ func TestProbeGroundTruth(t *testing.T) {
 	b.k.CreateThread("meas", 28, func(tc *kernel.ThreadContext) {
 		tc.Wait(ev)
 	})
-	b.eng.At(10_000, "irq", func(sim.Time) { intr.Assert() })
-	b.eng.At(50_000, "set", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(10_000, func(sim.Time) { intr.Assert() })
+	b.eng.At(50_000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(1_000_000)
 
 	if asserted != 10_000 || entered != 10_000+costIsrEntry {
@@ -823,7 +823,7 @@ func TestDeterministicRuns(t *testing.T) {
 			c.SetEvent(ev)
 		})
 		tm := b.k.NewTimer("tm")
-		b.eng.At(100, "arm", func(sim.Time) {
+		b.eng.At(100, func(sim.Time) {
 			b.k.SetPeriodicTimer(tm, tickPeriod, tickPeriod, d)
 		})
 		b.eng.RunUntil(500 * tickPeriod)
@@ -886,7 +886,7 @@ func TestPriorityBoostAndDecay(t *testing.T) {
 		// Burn two quanta: the boost decays one level per expiry.
 		tc.Exec(2*quantum + 1000)
 	})
-	eng.At(10_000, "set", func(sim.Time) { k.SetEvent(ev) })
+	eng.At(10_000, func(sim.Time) { k.SetEvent(ev) })
 	eng.RunUntil(10 * quantum)
 	if got := th.Priority(); got != 8 {
 		t.Fatalf("priority after decay = %d, want base 8", got)
@@ -909,7 +909,7 @@ func TestNoBoostInRealtimeBand(t *testing.T) {
 			t.Errorf("real-time priority changed to %d", got)
 		}
 	})
-	eng.At(10_000, "set", func(sim.Time) { k.SetEvent(ev) })
+	eng.At(10_000, func(sim.Time) { k.SetEvent(ev) })
 	eng.RunUntil(1_000_000)
 }
 
@@ -922,6 +922,6 @@ func TestBoostDisabledByDefault(t *testing.T) {
 			t.Errorf("priority = %d without PriorityBoost", got)
 		}
 	})
-	b.eng.At(10_000, "set", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(10_000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(1_000_000)
 }

@@ -41,8 +41,6 @@ func (k *Kernel) AssertNMI() {
 	act := k.newActivity()
 	act.kind = actISR
 	act.level = levelNMI
-	act.label = "nmi"
-	act.doneLabel = "isr:nmi"
 	act.frame = cpu.Frame{Module: "NTOSKRNL", Function: "_KiTrap02"}
 	k.occupy(act)
 	k.cpu.ResetCharge()
@@ -92,7 +90,7 @@ func (s *PerfCounterSampler) Start() {
 }
 
 func (s *PerfCounterSampler) arm() {
-	s.ev = s.k.eng.After(s.period, "perfctr-nmi", s.tickFn)
+	s.ev = s.k.eng.After(s.period, s.tickFn)
 }
 
 // Stop halts the counter.

@@ -13,15 +13,15 @@ func TestNMIDeliveredInsideMaskedWindow(t *testing.T) {
 	b.k.SetNMIHandler(func(now sim.Time) { hits = append(hits, now) })
 
 	// A 2 ms interrupt-masked window; regular interrupts stall, NMIs land.
-	b.eng.At(100_000, "mask", func(sim.Time) {
+	b.eng.At(100_000, func(sim.Time) {
 		b.k.InjectEpisode(kernel.MaskInterrupts, 600_000, "VXD", "_Cli")
 	})
 	var regularAt sim.Time
 	intr := b.k.Connect(40, 16, "DRV", "_ISR", func(c *kernel.IsrContext) {
 		regularAt = c.Now()
 	})
-	b.eng.At(200_000, "irq", func(sim.Time) { intr.Assert() })
-	b.eng.At(300_000, "nmi", func(sim.Time) { b.k.AssertNMI() })
+	b.eng.At(200_000, func(sim.Time) { intr.Assert() })
+	b.eng.At(300_000, func(sim.Time) { b.k.AssertNMI() })
 	b.eng.RunUntil(2_000_000)
 
 	if len(hits) != 1 {
@@ -45,8 +45,8 @@ func TestNMIPreemptsISR(t *testing.T) {
 	intr := b.k.Connect(40, 20, "DRV", "_ISR", func(c *kernel.IsrContext) {
 		c.Charge(100_000) // long ISR
 	})
-	b.eng.At(10_000, "irq", func(sim.Time) { intr.Assert() })
-	b.eng.At(50_000, "nmi", func(sim.Time) { b.k.AssertNMI() })
+	b.eng.At(10_000, func(sim.Time) { intr.Assert() })
+	b.eng.At(50_000, func(sim.Time) { b.k.AssertNMI() })
 	b.eng.RunUntil(1_000_000)
 	if nmiAt != 50_000 {
 		t.Fatalf("NMI at %d, want 50000 (mid-ISR)", nmiAt)
@@ -91,7 +91,7 @@ func TestNMIStretchesPreemptedWork(t *testing.T) {
 	})
 	for i := 0; i < 10; i++ {
 		at := sim.Time(10_000 * (i + 1))
-		b.eng.At(at, "nmi", func(sim.Time) { b.k.AssertNMI() })
+		b.eng.At(at, func(sim.Time) { b.k.AssertNMI() })
 	}
 	b.eng.RunUntil(1_000_000)
 	// Thread starts after 2 switches (worker first); 10 NMIs of ~300

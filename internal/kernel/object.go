@@ -88,7 +88,6 @@ type Event struct {
 	Name     string
 	Kind     EventKind
 	signaled bool
-	sets     uint64
 }
 
 // NewEvent creates an event in the non-signaled state (KeInitializeEvent).
@@ -98,9 +97,6 @@ func (k *Kernel) NewEvent(name string, kind EventKind) *Event {
 
 // Signaled reports the event's current signal state.
 func (e *Event) Signaled() bool { return e.signaled }
-
-// Sets returns the number of times the event has been set.
-func (e *Event) Sets() uint64 { return e.sets }
 
 func (e *Event) poll(t *Thread) bool {
 	if !e.signaled {
@@ -116,7 +112,6 @@ func (e *Event) poll(t *Thread) bool {
 // stay unsignaled if one was woken; notification events wake everyone and
 // latch.
 func (e *Event) set() {
-	e.sets++
 	switch e.Kind {
 	case SynchronizationEvent:
 		if t := e.popWaiter(); t != nil {

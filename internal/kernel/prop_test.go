@@ -30,7 +30,7 @@ func TestDispatchInvariantNoHigherReadyThread(t *testing.T) {
 	k.probe.ThreadDispatched = func(th *Thread, _, _ sim.Time) {
 		if best := k.bestReadyPriority(); best > th.priority {
 			// Re-check after the dispatch loop settles.
-			eng.After(1, "invariant", func(sim.Time) {
+			eng.After(1, func(sim.Time) {
 				cur := k.Current()
 				if cur == th && len(k.stack) == 0 && k.bestReadyPriority() > th.priority {
 					t.Errorf("%s (prio %d) kept the CPU while prio %d stayed ready",
@@ -64,9 +64,9 @@ func TestDispatchInvariantNoHigherReadyThread(t *testing.T) {
 		if rng.Bool(0.2) {
 			k.InjectEpisode(LockScheduler, sim.Cycles(1000+rng.Intn(500_000)), "VMM", "_X")
 		}
-		eng.After(sim.Cycles(1000+rng.Intn(100_000)), "kick", kick)
+		eng.After(sim.Cycles(1000+rng.Intn(100_000)), kick)
 	}
-	eng.After(1000, "kick", kick)
+	eng.After(1000, kick)
 	eng.RunUntil(300_000_000) // 1 virtual second
 }
 
@@ -98,13 +98,14 @@ func TestStackLevelMonotonic(t *testing.T) {
 		}
 		for i := 1; i < len(k.stack); i++ {
 			if k.stack[i].level <= k.stack[i-1].level {
-				t.Fatalf("stack levels not increasing: %v <= %v (%s under %s)",
-					k.stack[i].level, k.stack[i-1].level, k.stack[i].label, k.stack[i-1].label)
+				t.Fatalf("stack levels not increasing: %v <= %v (%s %v under %s %v)",
+					k.stack[i].level, k.stack[i-1].level,
+					k.stack[i].kind, k.stack[i].frame, k.stack[i-1].kind, k.stack[i-1].frame)
 			}
 		}
-		eng.After(sim.Cycles(500+rng.Intn(50_000)), "storm", storm)
+		eng.After(sim.Cycles(500+rng.Intn(50_000)), storm)
 	}
-	eng.After(100, "storm", storm)
+	eng.After(100, storm)
 	eng.RunUntil(150_000_000)
 }
 
@@ -131,9 +132,9 @@ func TestAccountingConservation(t *testing.T) {
 		if rng.Bool(0.3) {
 			k.InjectEpisode(MaskInterrupts, sim.Cycles(1000+rng.Intn(100_000)), "VXD", "_X")
 		}
-		eng.After(sim.Cycles(10_000+rng.Intn(500_000)), "kick", kick)
+		eng.After(sim.Cycles(10_000+rng.Intn(500_000)), kick)
 	}
-	eng.After(1000, "kick", kick)
+	eng.After(1000, kick)
 
 	end := sim.Time(300_000_000)
 	eng.RunUntil(end)
@@ -195,9 +196,9 @@ func TestRandomStressDeterministic(t *testing.T) {
 			case 4:
 				k.QueueWorkItem(&WorkItem{Name: "wi", Cycles: sim.Cycles(rng.Intn(100_000))})
 			}
-			eng.After(sim.Cycles(1000+rng.Intn(80_000)), "kick", kick)
+			eng.After(sim.Cycles(1000+rng.Intn(80_000)), kick)
 		}
-		eng.After(500, "kick", kick)
+		eng.After(500, kick)
 		eng.RunUntil(200_000_000)
 		return k.Counters(), eng.Now()
 	}
@@ -222,7 +223,7 @@ func TestEpisodeFIFOWithinLevel(t *testing.T) {
 	probe := func(name string) {
 		k.InjectEpisode(LockScheduler, 50_000, name, "_F")
 	}
-	eng.At(1000, "inj", func(sim.Time) {
+	eng.At(1000, func(sim.Time) {
 		probe("A")
 		probe("B")
 		probe("C")
@@ -235,9 +236,9 @@ func TestEpisodeFIFOWithinLevel(t *testing.T) {
 				order = append(order, f.Module)
 			}
 		}
-		eng.After(10_000, "watch", watch)
+		eng.After(10_000, watch)
 	}
-	eng.After(1000, "watch", watch)
+	eng.After(1000, watch)
 	eng.RunUntil(10_000_000)
 	if len(order) != 3 || order[0] != "A" || order[1] != "B" || order[2] != "C" {
 		t.Fatalf("episode order = %v, want [A B C]", order)

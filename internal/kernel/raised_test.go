@@ -25,7 +25,7 @@ func TestExecRaisedDispatchBlocksDpcsAndThreads(t *testing.T) {
 	})
 	// Mid-section: queue a DPC and wake the priority-28 thread. Neither
 	// may run until the raised section ends.
-	b.eng.At(50_000, "mid", func(sim.Time) {
+	b.eng.At(50_000, func(sim.Time) {
 		b.k.QueueDpc(d)
 		b.k.SetEvent(ev)
 	})
@@ -58,7 +58,7 @@ func TestExecRaisedDispatchStillPreemptedByIsr(t *testing.T) {
 	b.k.CreateThread("raiser", 16, func(tc *kernel.ThreadContext) {
 		tc.ExecRaised(kernel.DispatchLevel, 300_000)
 	})
-	b.eng.At(100_000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(100_000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(10_000_000)
 	if isrAt == 0 || isrAt > 110_000 {
 		t.Fatalf("ISR at %d: interrupts must preempt a DISPATCH-level section", isrAt)
@@ -76,7 +76,7 @@ func TestExecRaisedHighLevelMasksInterrupts(t *testing.T) {
 		tc.ExecRaised(kernel.HighLevel, 300_000)
 		tc.Do(func() { sectionEnd = b.cpu.TSC() })
 	})
-	b.eng.At(100_000, "irq", func(sim.Time) { intr.Assert() })
+	b.eng.At(100_000, func(sim.Time) { intr.Assert() })
 	b.eng.RunUntil(10_000_000)
 	if isrAt == 0 {
 		t.Fatal("ISR never ran")

@@ -102,8 +102,6 @@ func (k *Kernel) startSwitch(next *Thread) {
 	act := k.newActivity()
 	act.kind = actSwitch
 	act.level = levelSchedLock
-	act.label = next.labelSwitch
-	act.doneLabel = next.labelSwitch
 	act.frame = cpu.Frame{Module: "NTKERN", Function: "_SwapContext"}
 	act.remaining = k.draw(k.cfg.ContextSwitch)
 	act.onComplete = next.onSwitchDoneFn
@@ -114,7 +112,7 @@ func (k *Kernel) startSwitch(next *Thread) {
 // execution.
 func (k *Kernel) beginExecSegment(t *Thread) {
 	t.segStart = k.now()
-	t.execDone = k.eng.After(t.execRemaining, t.labelExec, t.onExecDoneFn)
+	t.execDone = k.eng.After(t.execRemaining, t.onExecDoneFn)
 	if k.cfg.Quantum > 0 {
 		if t.quantumLeft <= 0 {
 			t.quantumLeft = k.cfg.Quantum
@@ -126,7 +124,7 @@ func (k *Kernel) beginExecSegment(t *Thread) {
 		// quantumLeft bookkeeping is unaffected — every suspend/complete
 		// path decrements it by elapsed time regardless.
 		if t.execRemaining >= t.quantumLeft {
-			t.quantumEvent = k.eng.After(t.quantumLeft, t.labelQuantum, t.onQuantumFn)
+			t.quantumEvent = k.eng.After(t.quantumLeft, t.onQuantumFn)
 		}
 	}
 }
@@ -191,7 +189,7 @@ func (k *Kernel) onQuantumExpiry(t *Thread, now sim.Time) {
 	if !k.hasReadyAt(t.priority) {
 		t.quantumLeft = k.cfg.Quantum
 		if t.execDone != nil {
-			t.quantumEvent = k.eng.After(t.quantumLeft, t.labelQuantum, t.onQuantumFn)
+			t.quantumEvent = k.eng.After(t.quantumLeft, t.onQuantumFn)
 		}
 		return
 	}
@@ -304,8 +302,6 @@ func (k *Kernel) beginRaisedExec(t *Thread, req *request) bool {
 	act := k.newActivity()
 	act.kind = actEpisode
 	act.level = level
-	act.label = t.labelRaised
-	act.doneLabel = t.labelRaised
 	act.frame = cpu.Frame{Module: t.Name, Function: "_KeRaiseIrql"}
 	act.remaining = req.cycles
 	act.onComplete = t.onRaisedDoneFn
@@ -341,7 +337,7 @@ func (k *Kernel) beginWait(t *Thread, req *request) bool {
 		req.obj.addWaiter(t)
 	}
 	if req.timeout >= 0 {
-		t.waitTimeoutEv = k.eng.After(req.timeout, t.labelWaitTimeout, t.onWaitTimeoutFn)
+		t.waitTimeoutEv = k.eng.After(req.timeout, t.onWaitTimeoutFn)
 	}
 	k.current = nil
 	return false
@@ -364,7 +360,7 @@ func (k *Kernel) beginWaitAny(t *Thread, req *request) bool {
 		o.addWaiter(t)
 	}
 	if req.timeout >= 0 {
-		t.waitTimeoutEv = k.eng.After(req.timeout, t.labelWaitAny, t.onWaitTimeoutFn)
+		t.waitTimeoutEv = k.eng.After(req.timeout, t.onWaitTimeoutFn)
 	}
 	k.current = nil
 	return false

@@ -124,9 +124,9 @@ func newDiffMachine(seed uint64, boost bool) *diffMachine {
 	var tick func(sim.Time)
 	tick = func(sim.Time) {
 		clock.Assert()
-		m.eng.After(300_000, "pit", tick)
+		m.eng.After(300_000, tick)
 	}
-	m.eng.After(300_000, "pit", tick)
+	m.eng.After(300_000, tick)
 	var kick func(sim.Time)
 	kick = func(sim.Time) {
 		switch hrng.Intn(7) {
@@ -149,9 +149,9 @@ func newDiffMachine(seed uint64, boost bool) *diffMachine {
 			}
 			k.InjectEpisode(kind, sim.Cycles(1+hrng.Intn(100_000)), "VMM", "_X")
 		}
-		m.eng.After(sim.Cycles(1000+hrng.Intn(60_000)), "kick", kick)
+		m.eng.After(sim.Cycles(1000+hrng.Intn(60_000)), kick)
 	}
-	m.eng.After(700, "kick", kick)
+	m.eng.After(700, kick)
 	return m
 }
 

@@ -109,22 +109,16 @@ type Thread struct {
 	doneEvent  *Event // signaled at termination; waitable for joins
 	terminated bool
 
-	// Per-thread event labels and callbacks, built once at creation so the
+	// Per-thread event callbacks, bound once at creation so the
 	// scheduler's hot paths (exec segments, quanta, wait timeouts, context
-	// switches) neither format strings nor allocate closures per event.
-	labelExec        string
-	labelQuantum     string
-	labelWaitTimeout string
-	labelWaitAny     string
-	labelSwitch      string
-	labelRaised      string
-	onExecDoneFn     func(sim.Time)
-	onQuantumFn      func(sim.Time)
-	onWaitTimeoutFn  func(sim.Time)
-	onSwitchDoneFn   func(sim.Time)
-	onRaisedDoneFn   func(sim.Time)
-	switchReadiedAt  sim.Time   // readiedAt latched when the switch began
-	raisedCycles     sim.Cycles // cost of the raised-IRQL section in flight
+	// switches) allocate no closure per event.
+	onExecDoneFn    func(sim.Time)
+	onQuantumFn     func(sim.Time)
+	onWaitTimeoutFn func(sim.Time)
+	onSwitchDoneFn  func(sim.Time)
+	onRaisedDoneFn  func(sim.Time)
+	switchReadiedAt sim.Time   // readiedAt latched when the switch began
+	raisedCycles    sim.Cycles // cost of the raised-IRQL section in flight
 }
 
 // CreateStepThread creates and readies a kernel thread
@@ -158,12 +152,6 @@ func (k *Kernel) newThread(name string, priority int, step func(tc *ThreadContex
 	}
 	t.tc = ThreadContext{k: k, t: t}
 	t.doneEvent = k.NewEvent(name+".done", NotificationEvent)
-	t.labelExec = "exec:" + name
-	t.labelQuantum = "quantum:" + name
-	t.labelWaitTimeout = "waitTimeout:" + name
-	t.labelWaitAny = "waitAnyTimeout:" + name
-	t.labelSwitch = "switch:" + name
-	t.labelRaised = "raisedIRQL:" + name
 	t.onExecDoneFn = func(now sim.Time) { k.onExecDone(t, now) }
 	t.onQuantumFn = func(now sim.Time) { k.onQuantumExpiry(t, now) }
 	t.onWaitTimeoutFn = func(sim.Time) { k.onWaitTimeout(t) }

@@ -25,14 +25,8 @@ func (k *Kernel) NewTimer(name string) *Timer {
 	return &Timer{waiterList: waiterList{k: k}, Name: name}
 }
 
-// Active reports whether the timer is armed.
-func (t *Timer) Active() bool { return t.active }
-
 // Fires returns how many times the timer has expired.
 func (t *Timer) Fires() uint64 { return t.fires }
-
-// Due returns the armed expiry time (meaningful while Active).
-func (t *Timer) Due() sim.Time { return t.due }
 
 func (t *Timer) poll(_ *Thread) bool {
 	// NT timers default to notification semantics: signaled latches until
@@ -135,6 +129,3 @@ func (k *Kernel) clockISR(c *IsrContext) {
 	}
 	k.timers = keep
 }
-
-// ActiveTimers returns the number of armed timers.
-func (k *Kernel) ActiveTimers() int { return len(k.timers) }

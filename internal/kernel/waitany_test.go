@@ -17,9 +17,9 @@ func TestWaitAnyReturnsSignaledIndex(t *testing.T) {
 			got = append(got, tc.WaitAny(a, c))
 		}
 	})
-	b.eng.At(10_000, "c", func(sim.Time) { b.k.SetEvent(c) })
-	b.eng.At(20_000, "a", func(sim.Time) { b.k.SetEvent(a) })
-	b.eng.At(30_000, "c2", func(sim.Time) { b.k.SetEvent(c) })
+	b.eng.At(10_000, func(sim.Time) { b.k.SetEvent(c) })
+	b.eng.At(20_000, func(sim.Time) { b.k.SetEvent(a) })
+	b.eng.At(30_000, func(sim.Time) { b.k.SetEvent(c) })
 	b.eng.RunUntil(1_000_000)
 	want := []int{1, 0, 1}
 	if len(got) != len(want) {
@@ -65,10 +65,10 @@ func TestWaitAnyDeregistersFromLosers(t *testing.T) {
 		woke++
 		tc.Exec(1_000_000) // busy: no second wait outstanding
 	})
-	b.eng.At(10_000, "a", func(sim.Time) { b.k.SetEvent(a) })
+	b.eng.At(10_000, func(sim.Time) { b.k.SetEvent(a) })
 	// c fires later; the thread must NOT be woken through its stale
 	// registration — the signal latches instead.
-	b.eng.At(20_000, "c", func(sim.Time) { b.k.SetEvent(c) })
+	b.eng.At(20_000, func(sim.Time) { b.k.SetEvent(c) })
 	b.eng.RunUntil(5_000_000)
 	if woke != 1 {
 		t.Fatalf("woke %d times", woke)
@@ -92,8 +92,8 @@ func TestWaitAnyRepeatedObject(t *testing.T) {
 		tc.Wait(other) // other is never set
 		strayWake = true
 	})
-	b.eng.At(10_000, "ev", func(sim.Time) { b.k.SetEvent(ev) })
-	b.eng.At(20_000, "ev2", func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(10_000, func(sim.Time) { b.k.SetEvent(ev) })
+	b.eng.At(20_000, func(sim.Time) { b.k.SetEvent(ev) })
 	b.eng.RunUntil(1_000_000)
 	if idx != 0 {
 		t.Errorf("index = %d, want 0 (the object's first position in the set)", idx)
@@ -166,7 +166,7 @@ func TestWaitAnyMixedObjectKinds(t *testing.T) {
 		tc.ReleaseMutex(mu)
 		order = append(order, tc.WaitAny(ev, sem)) // semaphore released below
 	})
-	b.eng.At(10_000, "rel", func(sim.Time) { b.k.ReleaseSemaphore(sem, 1) })
+	b.eng.At(10_000, func(sim.Time) { b.k.ReleaseSemaphore(sem, 1) })
 	b.eng.RunUntil(1_000_000)
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("order = %v, want [2 1]", order)

@@ -351,7 +351,7 @@ func (t *Tool) issueRead() error {
 				// user-mode delay varies, which smears the next cycle's
 				// timer phase across the PIT period.
 				delay := t.k.Engine().RNG().Cyclesn(t.k.TickPeriod())
-				t.k.Engine().After(delay, "latctl-rearm", t.rearm)
+				t.k.Engine().After(delay, t.rearm)
 			}
 			// The driver has dropped its inflight reference by completion
 			// time and nothing reads the packet after this routine.

@@ -118,7 +118,7 @@ func TestHighPriorityThreadNoSlowerThanMedium(t *testing.T) {
 	// while the high (28) thread preempts. The spinner starts after the
 	// tool's threads have raised their priorities (the paper starts its
 	// tools before launching the stress load, §3.1.1).
-	m.eng.At(30_000_000, "spinner", func(sim.Time) {
+	m.eng.At(30_000_000, func(sim.Time) {
 		m.k.CreateThread("spinner", 24, func(tc *kernel.ThreadContext) {
 			for {
 				tc.Exec(50_000_000)
@@ -180,9 +180,9 @@ func TestMaskedWindowShowsUpInInterruptLatency(t *testing.T) {
 		if n%10 == 0 {
 			m.k.InjectEpisode(kernel.MaskInterrupts, 600_000, "VXD", "_Cli")
 		}
-		m.eng.After(tickPeriod, "inject", inject)
+		m.eng.After(tickPeriod, inject)
 	}
-	m.eng.After(tickPeriod/2, "inject", inject)
+	m.eng.After(tickPeriod/2, inject)
 
 	tool := installAndRun(t, m, latdriver.Options{HookTimerISR: true}, 600_000_000)
 	freq := sim.DefaultFreq
@@ -197,9 +197,9 @@ func TestSchedLockShowsUpInThreadNotDpcLatency(t *testing.T) {
 	var inject func(sim.Time)
 	inject = func(sim.Time) {
 		m.k.InjectEpisode(kernel.LockScheduler, 3_000_000, "VMM", "_Win16Lock")
-		m.eng.After(20*tickPeriod, "inject", inject)
+		m.eng.After(20*tickPeriod, inject)
 	}
-	m.eng.After(tickPeriod, "inject", inject)
+	m.eng.After(tickPeriod, inject)
 
 	tool := installAndRun(t, m, latdriver.Options{}, 600_000_000)
 	freq := sim.DefaultFreq

@@ -156,7 +156,7 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 			c.SetEvent(ev)
 		})
 		for acc.n < iterations {
-			m.Eng.After(freq.Cycles(200*time.Microsecond), "mb.kick", func(sim.Time) {
+			m.Eng.After(freq.Cycles(200*time.Microsecond), func(sim.Time) {
 				m.Kernel.QueueDpc(d)
 			})
 			m.RunFor(freq.Cycles(time.Millisecond))
@@ -174,7 +174,7 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 			}
 		})
 		for acc.n < iterations {
-			m.Eng.After(freq.Cycles(100*time.Microsecond), "mb.q", func(sim.Time) {
+			m.Eng.After(freq.Cycles(100*time.Microsecond), func(sim.Time) {
 				queuedAt = m.CPU.TSC()
 				m.Kernel.QueueDpc(d)
 			})
@@ -193,7 +193,7 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 			}
 		})
 		for acc.n < iterations {
-			m.Eng.After(freq.Cycles(100*time.Microsecond), "mb.irq", func(sim.Time) {
+			m.Eng.After(freq.Cycles(100*time.Microsecond), func(sim.Time) {
 				assertAt = m.CPU.TSC()
 				intr.Assert()
 			})
@@ -214,7 +214,7 @@ func Run(os ospersona.OS, seed uint64, iterations int) Results {
 		})
 		delay := freq.Cycles(2500 * time.Microsecond)
 		for acc.n < iterations {
-			m.Eng.After(freq.Cycles(700*time.Microsecond), "mb.arm", func(sim.Time) {
+			m.Eng.After(freq.Cycles(700*time.Microsecond), func(sim.Time) {
 				due = m.CPU.TSC().Add(delay)
 				m.Kernel.SetTimer(tm, delay, d)
 			})

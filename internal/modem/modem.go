@@ -100,7 +100,6 @@ type Datapump struct {
 	intr    *kernel.Interrupt
 	dpc     *kernel.DPC
 	ev      *kernel.Event
-	thread  *kernel.Thread
 	compute sim.Cycles
 	period  sim.Cycles
 
@@ -149,7 +148,7 @@ func Attach(k *kernel.Kernel, cfg Config) *Datapump {
 	if cfg.Modality == ThreadBased {
 		d.ev = k.NewEvent("softmodem.wake", kernel.SynchronizationEvent)
 		pump := &pumpThread{prio: cfg.ThreadPriority, ev: d.ev, compute: &d.compute, finish: d.produce}
-		d.thread = k.CreateStepThread("SoftModemPump", kernel.NormalPriority, pump.step)
+		k.CreateStepThread("SoftModemPump", kernel.NormalPriority, pump.step)
 	}
 	return d
 }
@@ -172,7 +171,7 @@ func (d *Datapump) Start() {
 // armPace schedules the next hardware cycle. This is pure hardware: it is
 // not delayed by anything the OS does.
 func (d *Datapump) armPace() {
-	d.pace = d.k.Engine().After(d.period, "modem-line", d.paceFn)
+	d.pace = d.k.Engine().After(d.period, d.paceFn)
 }
 
 // Stop closes the line.

@@ -21,7 +21,7 @@ func TestDatapumpRunsCleanOnIdleSystem(t *testing.T) {
 	for _, mod := range []modem.Modality{modem.DPCBased, modem.ThreadBased} {
 		m := newMachine(t, ospersona.NT4, 1)
 		d := modem.Attach(m.Kernel, modem.Config{CycleMS: 8, Buffers: 2, Modality: mod})
-		m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+		m.Eng.At(1000, func(sim.Time) { d.Start() })
 		m.RunFor(m.Freq().Cycles(5 * time.Second))
 		if d.Cycles() < 600 {
 			t.Fatalf("%v: only %d cycles", mod, d.Cycles())
@@ -39,13 +39,13 @@ func TestDatapumpUnderrunsUnderSchedulerLocks(t *testing.T) {
 	run := func(mod modem.Modality) uint64 {
 		m := newMachine(t, ospersona.Win98, 3)
 		d := modem.Attach(m.Kernel, modem.Config{CycleMS: 8, Buffers: 2, Modality: mod})
-		m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+		m.Eng.At(1000, func(sim.Time) { d.Start() })
 		var inject func(sim.Time)
 		inject = func(sim.Time) {
 			m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(30), "VMM", "_Win16Lock")
-			m.Eng.After(m.MS(100), "inj", inject)
+			m.Eng.After(m.MS(100), inject)
 		}
-		m.Eng.After(m.MS(50), "inj", inject)
+		m.Eng.After(m.MS(50), inject)
 		m.RunFor(m.Freq().Cycles(10 * time.Second))
 		return d.Underruns()
 	}
@@ -62,13 +62,13 @@ func TestDatapumpUnderrunsUnderMaskedInterrupts(t *testing.T) {
 	// suffer when the mask exceeds the tolerance.
 	m := newMachine(t, ospersona.Win98, 5)
 	d := modem.Attach(m.Kernel, modem.Config{CycleMS: 4, Buffers: 2, Modality: modem.DPCBased})
-	m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+	m.Eng.At(1000, func(sim.Time) { d.Start() })
 	var inject func(sim.Time)
 	inject = func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.MaskInterrupts, m.MS(12), "VXD", "_Cli")
-		m.Eng.After(m.MS(80), "inj", inject)
+		m.Eng.After(m.MS(80), inject)
 	}
-	m.Eng.After(m.MS(40), "inj", inject)
+	m.Eng.After(m.MS(40), inject)
 	m.RunFor(m.Freq().Cycles(10 * time.Second))
 	if d.Underruns() == 0 {
 		t.Fatal("12 ms masked windows must underrun a 4 ms tolerance pump")
@@ -79,13 +79,13 @@ func TestMoreBufferingReducesUnderruns(t *testing.T) {
 	run := func(buffers int) uint64 {
 		m := newMachine(t, ospersona.Win98, 7)
 		d := modem.Attach(m.Kernel, modem.Config{CycleMS: 8, Buffers: buffers, Modality: modem.ThreadBased})
-		m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+		m.Eng.At(1000, func(sim.Time) { d.Start() })
 		var inject func(sim.Time)
 		inject = func(sim.Time) {
 			m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(20), "VMM", "_Win16Lock")
-			m.Eng.After(m.MS(150), "inj", inject)
+			m.Eng.After(m.MS(150), inject)
 		}
-		m.Eng.After(m.MS(40), "inj", inject)
+		m.Eng.After(m.MS(40), inject)
 		m.RunFor(m.Freq().Cycles(20 * time.Second))
 		return d.Underruns()
 	}
@@ -98,16 +98,16 @@ func TestMoreBufferingReducesUnderruns(t *testing.T) {
 func TestMTTFSeconds(t *testing.T) {
 	m := newMachine(t, ospersona.Win98, 9)
 	d := modem.Attach(m.Kernel, modem.Config{CycleMS: 4, Buffers: 2, Modality: modem.ThreadBased})
-	m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+	m.Eng.At(1000, func(sim.Time) { d.Start() })
 	if _, ok := d.MTTFSeconds(); ok {
 		t.Fatal("MTTF should be unavailable before any underrun")
 	}
 	var inject func(sim.Time)
 	inject = func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(25), "VMM", "_X")
-		m.Eng.After(m.MS(200), "inj", inject)
+		m.Eng.After(m.MS(200), inject)
 	}
-	m.Eng.After(m.MS(100), "inj", inject)
+	m.Eng.After(m.MS(100), inject)
 	m.RunFor(m.Freq().Cycles(10 * time.Second))
 	mttf, ok := d.MTTFSeconds()
 	if !ok {
@@ -138,7 +138,7 @@ func TestPeriodicTaskMeetsDeadlinesWhenIdle(t *testing.T) {
 	for _, mod := range []modem.Modality{modem.DPCBased, modem.ThreadBased} {
 		m := newMachine(t, ospersona.NT4, 1)
 		pt := modem.NewPeriodicTask(m.Kernel, "p", m.MS(8), m.MS(2), mod, 28)
-		m.Eng.At(1000, "start", func(sim.Time) { pt.Start() })
+		m.Eng.At(1000, func(sim.Time) { pt.Start() })
 		m.RunFor(m.Freq().Cycles(5 * time.Second))
 		if pt.Releases() < 600 {
 			t.Fatalf("%v: %d releases", mod, pt.Releases())
@@ -155,13 +155,13 @@ func TestPeriodicTaskMeetsDeadlinesWhenIdle(t *testing.T) {
 func TestPeriodicTaskReportsMissesUnderLoad(t *testing.T) {
 	m := newMachine(t, ospersona.Win98, 11)
 	pt := modem.NewPeriodicTask(m.Kernel, "p", m.MS(8), m.MS(2), modem.ThreadBased, 28)
-	m.Eng.At(1000, "start", func(sim.Time) { pt.Start() })
+	m.Eng.At(1000, func(sim.Time) { pt.Start() })
 	var inject func(sim.Time)
 	inject = func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(40), "VMM", "_X")
-		m.Eng.After(m.MS(120), "inj", inject)
+		m.Eng.After(m.MS(120), inject)
 	}
-	m.Eng.After(m.MS(60), "inj", inject)
+	m.Eng.After(m.MS(60), inject)
 	m.RunFor(m.Freq().Cycles(10 * time.Second))
 	if pt.Misses() == 0 {
 		t.Fatal("expected deadline misses")
@@ -180,7 +180,7 @@ func TestPeriodicTaskReportsMissesUnderLoad(t *testing.T) {
 func TestPeriodicTaskStop(t *testing.T) {
 	m := newMachine(t, ospersona.NT4, 1)
 	pt := modem.NewPeriodicTask(m.Kernel, "p", m.MS(10), m.MS(1), modem.DPCBased, 0)
-	m.Eng.At(1000, "start", func(sim.Time) { pt.Start() })
+	m.Eng.At(1000, func(sim.Time) { pt.Start() })
 	m.RunFor(m.Freq().Cycles(time.Second))
 	pt.Stop()
 	n := pt.Releases()
@@ -198,7 +198,7 @@ func TestDpcDatapumpDelaysOtherDpcs(t *testing.T) {
 		m := newMachine(t, ospersona.NT4, 13)
 		if withPump {
 			d := modem.Attach(m.Kernel, modem.Config{CycleMS: 16, Buffers: 2, Modality: modem.DPCBased})
-			m.Eng.At(1000, "start", func(sim.Time) { d.Start() })
+			m.Eng.At(1000, func(sim.Time) { d.Start() })
 		}
 		var worst sim.Cycles
 		probe := kernel.NewDPC("probe", kernel.MediumImportance, func(c *kernel.DpcContext) {})
@@ -214,9 +214,9 @@ func TestDpcDatapumpDelaysOtherDpcs(t *testing.T) {
 		var fire func(sim.Time)
 		fire = func(sim.Time) {
 			m.Kernel.QueueDpc(probe)
-			m.Eng.After(m.MS(3), "fire", fire)
+			m.Eng.After(m.MS(3), fire)
 		}
-		m.Eng.After(m.MS(5), "fire", fire)
+		m.Eng.After(m.MS(5), fire)
 		m.RunFor(m.Freq().Cycles(5 * time.Second))
 		return worst
 	}
@@ -240,7 +240,7 @@ func TestPeriodicTaskExternallyPaced(t *testing.T) {
 	})
 	tm := m.Kernel.NewTimer("pacer")
 	m.Kernel.SetPeriodicTimer(tm, m.MS(10), m.MS(10), pacer)
-	m.Eng.At(1000, "start", func(sim.Time) { pt.Start() })
+	m.Eng.At(1000, func(sim.Time) { pt.Start() })
 	m.RunFor(m.Freq().Cycles(2 * time.Second))
 
 	if pt.Releases() < 150 {

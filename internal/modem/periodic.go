@@ -30,10 +30,9 @@ type PeriodicTask struct {
 	// in the completing context (DPC or thread), so it must be cheap.
 	OnComplete func(now sim.Time, latency sim.Cycles)
 
-	timer  *kernel.Timer
-	dpc    *kernel.DPC
-	ev     *kernel.Event
-	thread *kernel.Thread
+	timer *kernel.Timer
+	dpc   *kernel.DPC
+	ev    *kernel.Event
 
 	releases    uint64
 	completions uint64
@@ -73,7 +72,7 @@ func NewPeriodicTask(k *kernel.Kernel, name string, period, compute sim.Cycles, 
 			compute: &t.Compute,
 			finish:  func() { t.complete(t.k.CPU().TSC()) },
 		}
-		t.thread = k.CreateStepThread(name, kernel.NormalPriority, pump.step)
+		k.CreateStepThread(name, kernel.NormalPriority, pump.step)
 	}
 	return t
 }

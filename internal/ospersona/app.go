@@ -28,7 +28,6 @@ type Op struct {
 type App struct {
 	m      *Machine
 	Name   string
-	thread *kernel.Thread
 	sem    *kernel.Semaphore
 	queue  []Op // submitted ops; queue[head:] have not been popped yet
 	head   int
@@ -79,7 +78,7 @@ func (m *Machine) NewApp(name string) *App {
 	a.uiFn = a.m.UIEvent
 	a.ioDoneFn = func(c *kernel.DpcContext) { c.SetEvent(a.ioWait) }
 	a.ioFn = func() { a.m.FileOp(a.ioBytes, a.ioWrite, a.ioDoneFn) }
-	a.thread = m.Kernel.CreateStepThread(name, kernel.NormalPriority, a.step)
+	m.Kernel.CreateStepThread(name, kernel.NormalPriority, a.step)
 	return a
 }
 

@@ -14,7 +14,6 @@ import (
 type audioPipeline struct {
 	m        *Machine
 	ev       *kernel.Event
-	thread   *kernel.Thread
 	mixCost  sim.Dist
 	mixPrio  int
 	refill   func()
@@ -83,7 +82,7 @@ func (m *Machine) StartAudio(cfg AudioConfig) {
 		running: true,
 	}
 	m.audio = a
-	a.thread = m.Kernel.CreateStepThread("KMixer", kernel.NormalPriority, a.mixStep)
+	m.Kernel.CreateStepThread("KMixer", kernel.NormalPriority, a.mixStep)
 	m.Sound.Start(m.MS(cfg.PeriodMS))
 }
 

@@ -42,7 +42,7 @@ func TestClockTicksDriveKernelTimers(t *testing.T) {
 	fired := 0
 	d := kernel.NewDPC("t", kernel.MediumImportance, func(c *kernel.DpcContext) { fired++ })
 	tm := m.Kernel.NewTimer("t")
-	m.Eng.At(100, "arm", func(sim.Time) {
+	m.Eng.At(100, func(sim.Time) {
 		m.Kernel.SetPeriodicTimer(tm, m.MS(1), m.MS(10), d)
 	})
 	m.RunFor(m.MS(105))
@@ -54,7 +54,7 @@ func TestClockTicksDriveKernelTimers(t *testing.T) {
 func TestFileOpCompletesThroughDiskPath(t *testing.T) {
 	m := build(t, NT4, Options{})
 	done := 0
-	m.Eng.At(1000, "op", func(sim.Time) {
+	m.Eng.At(1000, func(sim.Time) {
 		m.FileOp(64*1024, false, func(c *kernel.DpcContext) { done++ })
 	})
 	m.RunFor(m.MS(100))
@@ -75,7 +75,7 @@ func TestWin98FileOpsInjectMoreOverheadThanNT(t *testing.T) {
 		m := build(t, os, Options{Seed: 7})
 		for i := 0; i < 2000; i++ {
 			i := i
-			m.Eng.At(sim.Time(i)*sim.Time(m.MS(1)), "op", func(sim.Time) {
+			m.Eng.At(sim.Time(i)*sim.Time(m.MS(1)), func(sim.Time) {
 				m.FileOp(32*1024, i%2 == 0, nil)
 			})
 		}
@@ -94,7 +94,7 @@ func TestSoundSchemeRoutesUIEventsToSoundPath(t *testing.T) {
 	for _, m := range []*Machine{quiet, loud} {
 		for i := 0; i < 200; i++ {
 			i := i
-			m.Eng.At(sim.Time(i)*sim.Time(m.MS(5)), "ui", func(sim.Time) { m.UIEvent() })
+			m.Eng.At(sim.Time(i)*sim.Time(m.MS(5)), func(sim.Time) { m.UIEvent() })
 		}
 		m.RunFor(m.MS(1100))
 	}
@@ -113,7 +113,7 @@ func TestVirusScannerAddsSchedulerLocks(t *testing.T) {
 	for _, m := range []*Machine{clean, dirty} {
 		for i := 0; i < 3000; i++ {
 			i := i
-			m.Eng.At(sim.Time(i)*sim.Time(m.MS(2)), "op", func(sim.Time) {
+			m.Eng.At(sim.Time(i)*sim.Time(m.MS(2)), func(sim.Time) {
 				m.FileOp(16*1024, false, nil)
 			})
 		}
@@ -146,9 +146,9 @@ func TestAudioUnderrunsUnderHeavySchedulerLocks(t *testing.T) {
 	var inject func(sim.Time)
 	inject = func(sim.Time) {
 		m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(30), "VMM", "_Win16Lock")
-		m.Eng.After(m.MS(50), "inj", inject)
+		m.Eng.After(m.MS(50), inject)
 	}
-	m.Eng.After(m.MS(100), "inj", inject)
+	m.Eng.After(m.MS(100), inject)
 	m.RunFor(m.MS(3000))
 	if u := m.Sound.Underruns(); u == 0 {
 		t.Fatal("expected audio underruns under heavy scheduler locking")
@@ -158,7 +158,7 @@ func TestAudioUnderrunsUnderHeavySchedulerLocks(t *testing.T) {
 func TestAppRunsScriptToCompletion(t *testing.T) {
 	m := build(t, NT4, Options{})
 	app := m.NewApp("winword")
-	m.Eng.At(1000, "submit", func(sim.Time) {
+	m.Eng.At(1000, func(sim.Time) {
 		app.Submit(
 			Op{UI: true, Compute: m.MS(2)},
 			Op{ReadBytes: 128 * 1024},
@@ -223,7 +223,7 @@ func TestAppQueueFIFO(t *testing.T) {
 func TestAppThinkTimePausesThread(t *testing.T) {
 	m := build(t, NT4, Options{})
 	app := m.NewApp("reader")
-	m.Eng.At(1000, "submit", func(sim.Time) {
+	m.Eng.At(1000, func(sim.Time) {
 		app.Submit(Op{ThinkMS: 100, Compute: 1000})
 	})
 	m.RunFor(m.MS(50))
@@ -243,7 +243,7 @@ func TestDeterministicMachineRuns(t *testing.T) {
 		app := m.NewApp("app")
 		for i := 0; i < 50; i++ {
 			i := i
-			m.Eng.At(sim.Time(i)*sim.Time(m.MS(7)), "act", func(sim.Time) {
+			m.Eng.At(sim.Time(i)*sim.Time(m.MS(7)), func(sim.Time) {
 				m.UIEvent()
 				m.FileOp(8192, false, nil)
 				if i%10 == 0 {
@@ -263,7 +263,7 @@ func TestDeterministicMachineRuns(t *testing.T) {
 
 func TestNetDeliverDrivesNicPath(t *testing.T) {
 	m := build(t, NT4, Options{})
-	m.Eng.At(1000, "net", func(sim.Time) { m.NetDeliver(20, 1460) })
+	m.Eng.At(1000, func(sim.Time) { m.NetDeliver(20, 1460) })
 	m.RunFor(m.MS(100))
 	if m.NIC.Delivered() != 20 {
 		t.Fatalf("delivered %d packets", m.NIC.Delivered())
@@ -274,9 +274,9 @@ func TestRenderFrameAndPageFault(t *testing.T) {
 	m := build(t, Win98, Options{Seed: 13})
 	for i := 0; i < 100; i++ {
 		i := i
-		m.Eng.At(sim.Time(i)*sim.Time(m.MS(33)), "frame", func(sim.Time) { m.RenderFrame() })
+		m.Eng.At(sim.Time(i)*sim.Time(m.MS(33)), func(sim.Time) { m.RenderFrame() })
 	}
-	m.Eng.At(sim.Time(m.MS(50)), "pf", func(sim.Time) { m.PageFaultBurst(16) })
+	m.Eng.At(sim.Time(m.MS(50)), func(sim.Time) { m.PageFaultBurst(16) })
 	m.RunFor(m.MS(3500))
 	_, _, _, frames, pf := m.Counters()
 	if frames != 100 || pf != 1 {

@@ -50,7 +50,7 @@ func TestFramePacingMissesUnderSchedulerLock(t *testing.T) {
 	// miss (the Win98 failure mode of §4.1).
 	for i := 1; i <= 20; i++ {
 		d := sim.Cycles(i) * m.MS(100)
-		m.Eng.After(d, "test-lock", func(sim.Time) {
+		m.Eng.After(d, func(sim.Time) {
 			m.Kernel.InjectEpisode(kernel.LockScheduler, m.MS(40), "VMM", "_TestLock")
 		})
 	}
@@ -116,7 +116,7 @@ func TestStormAccountingChargesPerOSIndication(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		d := sim.Cycles(i) * m.MS(1)
-		m.Eng.After(d, "test-pkt", func(sim.Time) { m.StormPacket(1460) })
+		m.Eng.After(d, func(sim.Time) { m.StormPacket(1460) })
 	}
 	m.RunFor(m.MS(50))
 	if hist.N() != 10 {

@@ -280,20 +280,19 @@ const (
 // Complete delivers one finished cell from a worker. The worker need not
 // still be registered — a straggler that was declared dead can still land
 // its result, and the copy the re-dispatched worker delivers later finds
-// no live task and is CompleteUnknown. Payloads are validated before they
-// can reach a campaign: a canonical decode through the exact codec and
-// fingerprint re-derivation from the embedded config must both agree, or
-// the payload is rejected and the cell goes back to the queue.
+// no live task and is CompleteUnknown. Completions are validated before
+// they can reach a campaign: the body must carry exactly one of result
+// and error, and a result must pass the canonical decode through the exact
+// codec and re-derive the leased fingerprint from its embedded config.
+// Otherwise the completion is rejected and a cell it names goes back to
+// the queue; a malformed body that names no live cell is rejected alone.
 func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (CompleteDisposition, error) {
-	if err := req.Validate(); err != nil {
-		return CompleteRejected, err
-	}
-
 	// Validate the payload outside the lock: decoding a large result is
 	// real work, and the verdict depends only on the bytes.
+	reqErr := req.Validate()
+	valErr := reqErr
 	var res *core.Result
-	var valErr error
-	if len(req.Result) > 0 {
+	if valErr == nil && len(req.Result) > 0 {
 		res, valErr = decodeCanonical(req.Result)
 	}
 
@@ -304,10 +303,13 @@ func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (Compl
 	}
 	t, ok := co.tasks[req.Fingerprint]
 	if !ok {
+		if reqErr != nil {
+			return CompleteRejected, reqErr
+		}
 		co.met.stale.Inc()
 		return CompleteUnknown, fmt.Errorf("no pending or leased cell with fingerprint %s", req.Fingerprint)
 	}
-	if req.Error != "" {
+	if valErr == nil && req.Error != "" {
 		// A deterministic execution failure: re-dispatching would fail
 		// identically on every worker, so record it and release waiters.
 		co.met.failed.Inc()
@@ -324,10 +326,11 @@ func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (Compl
 		}
 	}
 	if valErr != nil {
-		// Corrupt payload: never merged. A leased cell goes back to the
-		// queue for a healthy worker; a pending one (straggler corrupting
-		// a cell Reclaim already requeued) is in the queue already, and
-		// appending it again would lease the same cell to two workers.
+		// Corrupt or malformed completion: never merged. A leased cell
+		// goes back to the queue for a healthy worker; a pending one
+		// (straggler corrupting a cell Reclaim already requeued) is in the
+		// queue already, and appending it again would lease the same cell
+		// to two workers.
 		co.met.rejected.Inc()
 		if t.state == taskLeased {
 			co.requeueLocked(t)

@@ -79,12 +79,10 @@ func (e *Engine) release(ev *Event) {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (before
-// Now) panics: it would silently reorder causality. The label is retained
-// for debugging and tracing; callers on hot paths should pass a precomputed
-// constant, not build one per call.
-func (e *Engine) At(t Time, label string, fn func(Time)) *Event {
+// Now) panics: it would silently reorder causality.
+func (e *Engine) At(t Time, fn func(Time)) *Event {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %d before now %d", label, t, e.now))
+		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
@@ -93,7 +91,6 @@ func (e *Engine) At(t Time, label string, fn func(Time)) *Event {
 	ev.when = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.label = label
 	ev.state = statePending
 	e.seq++
 	e.heapPush(ev)
@@ -101,11 +98,11 @@ func (e *Engine) At(t Time, label string, fn func(Time)) *Event {
 }
 
 // After schedules fn to run d cycles from now. Negative delays panic.
-func (e *Engine) After(d Cycles, label string, fn func(Time)) *Event {
+func (e *Engine) After(d Cycles, fn func(Time)) *Event {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d for %q", d, label))
+		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.At(e.now.Add(d), label, fn)
+	return e.At(e.now.Add(d), fn)
 }
 
 // Cancel removes a pending event from the queue and recycles its record;
@@ -130,10 +127,10 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 		panic("sim: Reschedule of nil event")
 	}
 	if ev.state != statePending {
-		panic(fmt.Sprintf("sim: Reschedule of dead event %q: it already fired or was cancelled and its record may have been recycled", ev.label))
+		panic("sim: Reschedule of dead event: it already fired or was cancelled and its record may have been recycled")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling %q at %d before now %d", ev.label, t, e.now))
+		panic(fmt.Sprintf("sim: rescheduling at %d before now %d", t, e.now))
 	}
 	ev.when = t
 	ev.seq = e.seq

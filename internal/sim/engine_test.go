@@ -8,9 +8,9 @@ import (
 func TestEngineFiresInTimestampOrder(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
-	e.At(30, "c", func(Time) { order = append(order, 3) })
-	e.At(10, "a", func(Time) { order = append(order, 1) })
-	e.At(20, "b", func(Time) { order = append(order, 2) })
+	e.At(30, func(Time) { order = append(order, 3) })
+	e.At(10, func(Time) { order = append(order, 1) })
+	e.At(20, func(Time) { order = append(order, 2) })
 	e.Drain(10)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fired out of order: %v", order)
@@ -25,7 +25,7 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, "same", func(Time) { order = append(order, i) })
+		e.At(5, func(Time) { order = append(order, i) })
 	}
 	e.Drain(200)
 	for i, v := range order {
@@ -38,7 +38,7 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, "x", func(Time) { fired = true })
+	ev := e.At(10, func(Time) { fired = true })
 	if !ev.Pending() {
 		t.Fatal("event should be pending")
 	}
@@ -60,7 +60,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	evs := make([]*Event, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		evs[i] = e.At(Time(i*10), "n", func(Time) { fired = append(fired, i) })
+		evs[i] = e.At(Time(i*10), func(Time) { fired = append(fired, i) })
 	}
 	e.Cancel(evs[4])
 	e.Cancel(evs[7])
@@ -79,7 +79,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 func TestEngineReschedule(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	ev := e.At(10, "x", func(now Time) { at = now })
+	ev := e.At(10, func(now Time) { at = now })
 	e.Reschedule(ev, 50)
 	e.Drain(10)
 	if at != 50 {
@@ -89,7 +89,7 @@ func TestEngineReschedule(t *testing.T) {
 
 func TestEngineRescheduleFiredEventPanics(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(10, "x", func(Time) {})
+	ev := e.At(10, func(Time) {})
 	e.Drain(10)
 	defer func() {
 		if recover() == nil {
@@ -101,7 +101,7 @@ func TestEngineRescheduleFiredEventPanics(t *testing.T) {
 
 func TestEngineCancelThenReschedulePanics(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(10, "x", func(Time) {})
+	ev := e.At(10, func(Time) {})
 	if !e.Cancel(ev) {
 		t.Fatal("cancel should succeed")
 	}
@@ -124,7 +124,7 @@ func TestEngineFIFOUnderPooling(t *testing.T) {
 		evs := make([]*Event, 50)
 		for i := 0; i < 50; i++ {
 			i := i
-			evs[i] = e.At(base, "same", func(Time) { order = append(order, i) })
+			evs[i] = e.At(base, func(Time) { order = append(order, i) })
 		}
 		// Cancel a few mid-queue so their records recycle ahead of the rest.
 		e.Cancel(evs[10])
@@ -158,8 +158,8 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	}
 	e := NewEngine(1)
 	var tick func(Time)
-	tick = func(Time) { e.After(100, "tick", tick) }
-	e.After(100, "tick", tick)
+	tick = func(Time) { e.After(100, tick) }
+	e.After(100, tick)
 	for i := 0; i < 1000; i++ { // warm up pool and heap slice
 		e.Step()
 	}
@@ -169,14 +169,14 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	// Cancel/re-schedule churn must be allocation-free too.
 	evs := make([]*Event, 64)
 	for i := range evs {
-		evs[i] = e.After(Cycles(1000+i), "churn", func(Time) {})
+		evs[i] = e.After(Cycles(1000+i), func(Time) {})
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		for i := range evs {
 			e.Cancel(evs[i])
 		}
 		for i := range evs {
-			evs[i] = e.After(Cycles(1000+i), "churn", func(Time) {})
+			evs[i] = e.After(Cycles(1000+i), func(Time) {})
 		}
 	}); avg != 0 {
 		t.Fatalf("steady-state Cancel+After allocates %v allocs/op, want 0", avg)
@@ -196,12 +196,12 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 	}
 	e := NewEngine(1)
 	var tick, slow, far func(Time)
-	tick = func(Time) { e.After(100, "tick", tick) }
-	slow = func(Time) { e.After(70_000, "slow", slow) }
-	far = func(Time) { e.After(255<<24+5, "far", far) }
-	e.After(100, "tick", tick)
-	e.After(70_000, "slow", slow)
-	e.After(255<<24+5, "far", far)
+	tick = func(Time) { e.After(100, tick) }
+	slow = func(Time) { e.After(70_000, slow) }
+	far = func(Time) { e.After(255<<24+5, far) }
+	e.After(100, tick)
+	e.After(70_000, slow)
+	e.After(255<<24+5, far)
 	for i := 0; i < 2000; i++ { // warm up pool and heap slice
 		e.Step()
 	}
@@ -215,7 +215,7 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 
 func TestEngineRunUntilAdvancesClockPastLastEvent(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, "x", func(Time) {})
+	e.At(10, func(Time) {})
 	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("clock = %d, want 100", e.Now())
@@ -228,8 +228,8 @@ func TestEngineRunUntilAdvancesClockPastLastEvent(t *testing.T) {
 func TestEngineEventsScheduledDuringEvent(t *testing.T) {
 	e := NewEngine(1)
 	var hits []Time
-	e.At(10, "outer", func(now Time) {
-		e.After(5, "inner", func(now Time) { hits = append(hits, now) })
+	e.At(10, func(now Time) {
+		e.After(5, func(now Time) { hits = append(hits, now) })
 	})
 	e.RunUntil(100)
 	if len(hits) != 1 || hits[0] != 15 {
@@ -246,7 +246,7 @@ func TestEngineCancelDuringBatch(t *testing.T) {
 	evs := make([]*Event, 5)
 	for i := range evs {
 		i := i
-		evs[i] = e.At(10, "batch", func(Time) {
+		evs[i] = e.At(10, func(Time) {
 			fired = append(fired, i)
 			if i == 0 {
 				if !e.Cancel(evs[3]) {
@@ -277,16 +277,16 @@ func TestEngineCancelDuringBatch(t *testing.T) {
 func TestEngineSameInstantScheduleDuringBatch(t *testing.T) {
 	e := NewEngine(1)
 	var fired []string
-	e.At(10, "a", func(now Time) {
+	e.At(10, func(now Time) {
 		fired = append(fired, "a")
-		e.At(now, "child", func(cn Time) {
+		e.At(now, func(cn Time) {
 			fired = append(fired, "child")
-			e.At(cn, "grandchild", func(Time) {
+			e.At(cn, func(Time) {
 				fired = append(fired, "grandchild")
 			})
 		})
 	})
-	e.At(10, "b", func(Time) { fired = append(fired, "b") })
+	e.At(10, func(Time) { fired = append(fired, "b") })
 	e.RunUntil(10)
 	want := []string{"a", "b", "child", "grandchild"}
 	if len(fired) != len(want) {
@@ -307,8 +307,8 @@ func TestEngineSameInstantScheduleDuringBatch(t *testing.T) {
 func TestEngineRunUntilBoundary(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
-	e.At(100, "at", func(now Time) { fired = append(fired, now) })
-	e.At(101, "after", func(now Time) { fired = append(fired, now) })
+	e.At(100, func(now Time) { fired = append(fired, now) })
+	e.At(101, func(now Time) { fired = append(fired, now) })
 	e.RunUntil(100)
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("after RunUntil(100): fired %v, want [100]", fired)
@@ -324,14 +324,14 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, "x", func(Time) {})
+	e.At(10, func(Time) {})
 	e.RunUntil(20)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
 		}
 	}()
-	e.At(5, "past", func(Time) {})
+	e.At(5, func(Time) {})
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -341,7 +341,7 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay should panic")
 		}
 	}()
-	e.After(-1, "neg", func(Time) {})
+	e.After(-1, func(Time) {})
 }
 
 func TestEngineDeterminism(t *testing.T) {
@@ -354,10 +354,10 @@ func TestEngineDeterminism(t *testing.T) {
 			draws = append(draws, e.RNG().Uint64())
 			n++
 			if n < 50 {
-				e.After(Cycles(e.RNG().Intn(100)+1), "tick", tick)
+				e.After(Cycles(e.RNG().Intn(100)+1), tick)
 			}
 		}
-		e.After(1, "tick", tick)
+		e.After(1, tick)
 		e.RunUntil(1 << 40)
 		return draws
 	}
@@ -423,8 +423,8 @@ func TestTimeArithmetic(t *testing.T) {
 func TestDrainLimitPanics(t *testing.T) {
 	e := NewEngine(1)
 	var tick func(Time)
-	tick = func(Time) { e.After(1, "tick", tick) }
-	e.After(1, "tick", tick)
+	tick = func(Time) { e.After(1, tick) }
+	e.After(1, tick)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Drain on a self-perpetuating queue should panic at the limit")
@@ -435,8 +435,8 @@ func TestDrainLimitPanics(t *testing.T) {
 
 func TestEngineCounters(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, "a", func(Time) {})
-	e.At(20, "b", func(Time) {})
+	e.At(10, func(Time) {})
+	e.At(20, func(Time) {})
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
@@ -446,14 +446,18 @@ func TestEngineCounters(t *testing.T) {
 	}
 }
 
+// TestEventLabelAndWhen is named for the debug label events once carried.
+// Nothing read the label, so it is gone; the test keeps its name and checks
+// what a handle still reports: its time, and whether it is pending, on a
+// nil handle too.
 func TestEventLabelAndWhen(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(42, "my-label", func(Time) {})
-	if ev.Label() != "my-label" || ev.When() != 42 {
-		t.Fatalf("label=%q when=%d", ev.Label(), ev.When())
+	ev := e.At(42, func(Time) {})
+	if ev.When() != 42 || !ev.Pending() {
+		t.Fatalf("when=%d pending=%v", ev.When(), ev.Pending())
 	}
 	var nilEv *Event
-	if nilEv.Label() != "" || nilEv.Pending() {
+	if nilEv.Pending() {
 		t.Fatal("nil event accessors should be safe")
 	}
 }

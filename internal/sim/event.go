@@ -31,7 +31,6 @@ type Event struct {
 	index int32  // heap position, -1 when not in the heap
 	state eventState
 	fn    func(Time)
-	label string
 }
 
 // When returns the virtual time at which the event is (or, for a dead
@@ -41,14 +40,6 @@ func (e *Event) When() Time { return e.when }
 // Pending reports whether the event is still in the queue (scheduled and
 // neither fired nor cancelled).
 func (e *Event) Pending() bool { return e != nil && e.state == statePending }
-
-// Label returns the debugging label attached at scheduling time.
-func (e *Event) Label() string {
-	if e == nil {
-		return ""
-	}
-	return e.label
-}
 
 // The event queue is a 4-ary min-heap over (when, seq), stored in
 // Engine.queue with each event carrying its own index for O(log n)

@@ -173,12 +173,12 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 			if spawn {
 				childD = Cycles(rng.Intn(512)) // 0 allowed: same-instant child
 			}
-			rec.ev = e.At(at, label, func(now Time) {
+			rec.ev = e.At(at, func(now Time) {
 				rec.dead = true
 				engTrace = append(engTrace, traceEntry{now, rec.seq, rec.label})
 				if spawn {
 					cr := &liveRec{label: "child", dead: true} // fire-only
-					cr.ev = e.At(now.Add(childD), "child", func(cn Time) {
+					cr.ev = e.At(now.Add(childD), func(cn Time) {
 						engTrace = append(engTrace, traceEntry{cn, cr.seq, "child"})
 					})
 					cr.seq = cr.ev.seq
@@ -331,7 +331,7 @@ func TestEngineHeapMatchesOracle(t *testing.T) {
 				at := e.Now().Add(Cycles(rng.Intn(1000)))
 				rec := &liveRec{id: nextID}
 				nextID++
-				rec.ev = e.At(at, "prop", func(now Time) {
+				rec.ev = e.At(at, func(now Time) {
 					rec.dead = true
 					engLast = firing{rec.id, now}
 				})

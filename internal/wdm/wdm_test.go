@@ -59,7 +59,7 @@ func TestReadFileExRoundTrip(t *testing.T) {
 		d.MajorRead = func(irp *kernel.IRP) {
 			irp.ASB[0] = d.GetCycleCount()
 			// Complete asynchronously from harness context.
-			eng.After(5000, "complete", func(sim.Time) {
+			eng.After(5000, func(sim.Time) {
 				d.IoCompleteRequest(irp)
 			})
 		}
@@ -119,9 +119,9 @@ func TestKeSetTimerUsesTickUnits(t *testing.T) {
 	var tick func(sim.Time)
 	tick = func(sim.Time) {
 		pitIntr.Assert()
-		eng.After(300_000, "pit", tick)
+		eng.After(300_000, tick)
 	}
-	eng.After(300_000, "pit", tick)
+	eng.After(300_000, tick)
 	eng.RunUntil(3_000_000)
 	if firedAt == 0 {
 		t.Fatal("timer DPC never fired")

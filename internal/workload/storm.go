@@ -120,7 +120,7 @@ func (s *Storm) Start() {
 	}
 	s.on = true
 	s.scheduleNext()
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
+	s.m.Eng.After(s.sampleGap, s.sampleFn)
 }
 
 // Stop halts arrivals and sampling (pending engine events drain inert).
@@ -141,7 +141,7 @@ func (s *Storm) scheduleNext() {
 		u := s.rng.Float64()
 		gap = 1 + int(math.Log(1-u)/s.logMiss)
 	}
-	s.m.Eng.After(sim.Cycles(gap)*s.slot, "storm.rx", s.arriveFn)
+	s.m.Eng.After(sim.Cycles(gap)*s.slot, s.arriveFn)
 }
 
 func (s *Storm) arrive(sim.Time) {
@@ -166,5 +166,5 @@ func (s *Storm) sample(sim.Time) {
 		Delivered: s.m.NIC.Delivered(),
 		Dropped:   s.m.NIC.Dropped(),
 	})
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
+	s.m.Eng.After(s.sampleGap, s.sampleFn)
 }

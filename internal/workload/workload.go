@@ -149,30 +149,21 @@ func (g *Generator) delay(mean float64) sim.Cycles {
 	return d
 }
 
-// after schedules fn once after a mean-exponential delay, if still running.
-func (g *Generator) after(mean float64, label string, fn func()) {
-	g.m.Eng.After(g.delay(mean), label, func(sim.Time) {
-		if g.on {
-			fn()
-		}
-	})
-}
-
 // loop schedules fn repeatedly with mean-exponential spacing (ms). The tick
 // closure is allocated once per loop and re-armed on each firing, not
 // wrapped anew per event: generators keep a dozen loops ticking for the
 // whole collection, so per-firing closures would dominate the allocation
 // profile.
-func (g *Generator) loop(mean float64, label string, fn func()) {
+func (g *Generator) loop(mean float64, fn func()) {
 	var tick func(sim.Time)
 	tick = func(sim.Time) {
 		if !g.on {
 			return
 		}
 		fn()
-		g.m.Eng.After(g.delay(mean), label, tick)
+		g.m.Eng.After(g.delay(mean), tick)
 	}
-	g.m.Eng.After(g.delay(mean), label, tick)
+	g.m.Eng.After(g.delay(mean), tick)
 }
 
 // --- Business Winstone 97 ---------------------------------------------------
@@ -181,27 +172,27 @@ func (g *Generator) startBusiness() {
 	m := g.m
 	// MS-Test keystroke/menu stream: a UI event every ~8 ms of activity,
 	// in on/off bursts (scripted actions separated by application work).
-	g.loop(8, "biz.ui", func() { m.UIEvent() })
+	g.loop(8, func() { m.UIEvent() })
 	// Document work: spreadsheet recalcs, reformats — foreground compute.
-	g.loop(120, "biz.compute", func() {
+	g.loop(120, func() {
 		g.app.Submit(ospersona.Op{Compute: sim.Cycles(g.rng.Exp(float64(m.MS(25))))})
 	})
 	// Saves and implicit "save as" copies: runs of writes.
-	g.loop(400, "biz.save", func() {
+	g.loop(400, func() {
 		n := 2 + g.rng.Intn(8)
 		for i := 0; i < n; i++ {
 			m.FileOp(16*1024+g.rng.Intn(128*1024), true, nil)
 		}
 	})
 	// Small reads: document and DLL traffic.
-	g.loop(60, "biz.read", func() {
+	g.loop(60, func() {
 		m.FileOp(4*1024+g.rng.Intn(64*1024), false, nil)
 	})
 	// Install/uninstall sweeps between application suites ("each
 	// application is installed via an InstallShield script, run ... and
 	// then uninstalled"): extended file copying, the activity the paper
 	// flags as the likely source of long latencies (§3.1.1).
-	g.loop(8000, "biz.install", func() {
+	g.loop(8000, func() {
 		n := 40 + g.rng.Intn(80)
 		for i := 0; i < n; i++ {
 			g.app.Submit(ospersona.Op{
@@ -217,22 +208,22 @@ func (g *Generator) startBusiness() {
 func (g *Generator) startWorkstation() {
 	m := g.m
 	// CAD/photo-editing/compile: long foreground compute bursts.
-	g.loop(150, "wks.compute", func() {
+	g.loop(150, func() {
 		g.app.Submit(ospersona.Op{Compute: sim.Cycles(g.rng.Exp(float64(m.MS(80))))})
 	})
 	// Large file I/O: image loads, object files.
-	g.loop(90, "wks.io", func() {
+	g.loop(90, func() {
 		g.app.Submit(ospersona.Op{ReadBytes: 128*1024 + g.rng.Intn(1<<20)})
 	})
-	g.loop(300, "wks.write", func() {
+	g.loop(300, func() {
 		m.FileOp(64*1024+g.rng.Intn(512*1024), true, nil)
 	})
 	// 32 MB of RAM under workstation apps: recurring paging bursts.
-	g.loop(250, "wks.paging", func() {
+	g.loop(250, func() {
 		m.PageFaultBurst(4 + g.rng.Intn(24))
 	})
 	// Occasional UI (dialogs, tool switches).
-	g.loop(100, "wks.ui", func() { m.UIEvent() })
+	g.loop(100, func() { m.UIEvent() })
 }
 
 // --- 3D games ----------------------------------------------------------------
@@ -240,21 +231,21 @@ func (g *Generator) startWorkstation() {
 func (g *Generator) startGames() {
 	m := g.m
 	// The frame loop: ~30 fps, each frame rendering plus game logic.
-	g.loop(33, "game.frame", func() {
+	g.loop(33, func() {
 		m.RenderFrame()
 		g.app.Submit(ospersona.Op{Compute: sim.Cycles(g.rng.Exp(float64(m.MS(18))))})
 	})
 	// Continuous game audio.
 	m.StartAudio(ospersona.AudioConfig{PeriodMS: 16})
 	// Level/asset streaming from disk.
-	g.loop(700, "game.stream", func() {
+	g.loop(700, func() {
 		n := 2 + g.rng.Intn(6)
 		for i := 0; i < n; i++ {
 			m.FileOp(64*1024+g.rng.Intn(512*1024), false, nil)
 		}
 	})
 	// Input sampling (far below MS-Test rates).
-	g.loop(50, "game.input", func() { m.UIEvent() })
+	g.loop(50, func() { m.UIEvent() })
 }
 
 // --- Web browsing -------------------------------------------------------------
@@ -262,11 +253,11 @@ func (g *Generator) startGames() {
 func (g *Generator) startWeb() {
 	m := g.m
 	// Page downloads over the LAN: bursts of full-size frames.
-	g.loop(250, "web.download", func() {
+	g.loop(250, func() {
 		bursts := 1 + g.rng.Intn(4)
 		for i := 0; i < bursts; i++ {
 			i := i
-			g.m.Eng.After(sim.Cycles(i)*m.MS(15), "web.burst", func(sim.Time) {
+			g.m.Eng.After(sim.Cycles(i)*m.MS(15), func(sim.Time) {
 				if g.on {
 					m.NetDeliver(10+g.rng.Intn(40), 1460)
 				}
@@ -276,14 +267,14 @@ func (g *Generator) startWeb() {
 		m.FileOp(16*1024+g.rng.Intn(256*1024), true, nil)
 	})
 	// Rendering and viewer launches (Acrobat, Ghostview, Word — §3.1.3).
-	g.loop(500, "web.render", func() {
+	g.loop(500, func() {
 		g.app.Submit(ospersona.Op{
 			Compute:   sim.Cycles(g.rng.Exp(float64(m.MS(60)))),
 			ReadBytes: 64*1024 + g.rng.Intn(512*1024),
 		})
 	})
 	// Scrolling and link clicks.
-	g.loop(40, "web.ui", func() { m.UIEvent() })
+	g.loop(40, func() { m.UIEvent() })
 	// Streaming media clips (RealPlayer/Shockwave): periodic audio.
 	m.StartAudio(ospersona.AudioConfig{PeriodMS: 24})
 }
