@@ -5,7 +5,8 @@
 # one), plus the event-heap oracle, the step-body differential test, the
 # episode-order test and the steady-state allocation tests that guard the
 # pooled substrate and the storm, and a short fuzz pass over the result
-# codec's decoders and the fleet coordinator's worker completions.
+# codec's decoders, the fleet coordinator's worker completions and the
+# server's journal replay.
 
 GO ?= go
 
@@ -112,15 +113,19 @@ bench-harness:
 
 # fuzz-smoke: ten seconds of native Go fuzzing per decoder of untrusted
 # result bytes — core.DecodeResult (checkpoint files and worker
-# completions) and the histogram parser beneath it — and per worker
-# completion body through Coordinator.Complete. The codec targets assert
-# the decoder never panics and that any input it accepts re-encodes to
-# exactly itself; their seed corpus is the codec's differential-test
-# documents, whole, truncated and with a byte flipped. The completion
-# target asserts the coordinator never panics, merges a result only as its
-# exact canonical bytes for the leased fingerprint, and puts a rejected
-# leased cell back in the queue exactly once; its seeds are one real
-# payload and its corruptions. go test fuzzes one target per run.
+# completions) and the histogram parser beneath it — per worker
+# completion body through Coordinator.Complete, and per journal file
+# through OpenJournal. The codec targets assert the decoder never panics
+# and that any input it accepts re-encodes to exactly itself; their seed
+# corpus is the codec's differential-test documents, whole, truncated and
+# with a byte flipped. The completion target asserts the coordinator never
+# panics, merges a result only as its exact canonical bytes for the leased
+# fingerprint, and puts a rejected leased cell back in the queue exactly
+# once; its seeds are one real payload and its corruptions. The journal
+# target asserts replay never panics or fails, replays only valid
+# campaigns with distinct IDs, that a reopen leaves the state unchanged,
+# and that finishing one campaign removes exactly that one; its seeds are
+# shaped like the journal tests' files. go test fuzzes one target per run.
 # Minimizing is off: shrinking one interesting multi-KB document took
 # longer than the whole pass, which then tried about a hundred inputs
 # instead of over a hundred thousand. A failing input is still saved under
@@ -129,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramJSON$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompleteRequest$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
 
 # cover: the coverage gate for the campaign runtime, the metrics registry,
 # (since fleet mode) the service wire types and the server — coordinator
@@ -245,16 +251,25 @@ storm-smoke:
 # resume-smoke: kill a checkpointed campaign mid-flight with SIGINT, resume
 # it from the checkpoint store, and demand the resumed artifacts be
 # byte-identical to an uninterrupted run at a different worker count. The
-# interrupted invocation exits non-zero by design (timeout reports 124), so
-# it is prefixed with `-`. Timings: the full campaign takes ~7 s of wall
-# clock at -jobs 2, so a 3 s SIGINT lands mid-campaign with some cells
-# checkpointed and some cancelled.
+# campaign has 19 cells (2 OSes x 4 classes x 2 replicas, 2 scanner
+# replicas and the cause-tool cell) and finishes in about 2 s at -jobs 2,
+# so a fixed delay cannot be trusted to land mid-campaign: the SIGINT goes
+# out as soon as the first checkpoint file appears (waiting at most 30 s),
+# and the target fails unless the interrupted run exits non-zero with
+# between 1 and 18 cells checkpointed.
 resume-smoke:
 	rm -rf results-resume-smoke
 	mkdir -p results-resume-smoke
 	$(GO) build -o results-resume-smoke/reproduce ./cmd/reproduce
-	-timeout -s INT 3 results-resume-smoke/reproduce -duration 150s -runs 2 -jobs 2 \
-		-checkpoint results-resume-smoke/ckpt -outdir results-resume-smoke/resumed
+	@ck=results-resume-smoke/ckpt; \
+	results-resume-smoke/reproduce -duration 150s -runs 2 -jobs 2 \
+		-checkpoint $$ck -outdir results-resume-smoke/resumed & pid=$$!; \
+	i=0; while [ $$i -lt 600 ] && ! ls $$ck/*.json >/dev/null 2>&1; do sleep 0.05; i=$$((i+1)); done; \
+	kill -INT $$pid; \
+	if wait $$pid; then echo "resume-smoke: the interrupted run exited 0"; exit 1; fi; \
+	n=$$(ls $$ck 2>/dev/null | grep -c '\.json$$'); \
+	echo "resume-smoke: SIGINT left $$n of 19 cells checkpointed"; \
+	[ $$n -ge 1 ] && [ $$n -lt 19 ] || { echo "resume-smoke: want 1 to 18 cells checkpointed"; exit 1; }
 	results-resume-smoke/reproduce -duration 150s -runs 2 -jobs 2 \
 		-checkpoint results-resume-smoke/ckpt -outdir results-resume-smoke/resumed
 	results-resume-smoke/reproduce -duration 150s -runs 2 -jobs 4 \

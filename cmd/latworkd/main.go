@@ -10,7 +10,14 @@
 //
 //	latworkd -coord http://coordinator:8080 -name $(hostname) -cells 2
 //
-// SIGINT/SIGTERM stop leasing and let in-flight cells finish delivering.
+// -cells N runs N lease loops, each holding at most one cell: a loop
+// leases a cell, runs it and delivers it before it asks for the next, so
+// N bounds the cells the worker runs at once.
+//
+// SIGINT/SIGTERM stop leasing. A cell already executing runs to the end
+// and is checkpointed under -cache, but its delivery is abandoned; the
+// coordinator re-dispatches it once the lease expires.
+//
 // Losing the coordinator (restart, network partition) is survivable: all
 // calls retry with jittered backoff, a worker whose registration expired
 // transparently re-registers, and once registered a worker rides out
@@ -42,7 +49,7 @@ import (
 func main() {
 	coord := flag.String("coord", "http://127.0.0.1:8080", "coordinator (latserved -fleet) base URL")
 	name := flag.String("name", "", "worker label for coordinator logs and /v1/fleet")
-	cells := flag.Int("cells", 1, "cells executing concurrently on this worker")
+	cells := flag.Int("cells", 1, "lease loops, each holding at most one cell (cells executing concurrently)")
 	cache := flag.String("cache", "latworkd-cache", "checkpoint store consulted before executing and populated after (empty disables)")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines")
 	cli.AddVersionFlag("latworkd", flag.CommandLine)

@@ -68,6 +68,24 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	fopts := frontier.Options{
+		OSes:        oses,
+		Modes:       modes,
+		MinPPS:      *minPPS,
+		MaxPPS:      *maxPPS,
+		BisectSteps: *bisect,
+		Duration:    *duration,
+		Runs:        *runs,
+		Precision:   pol,
+		StormBytes:  *bytesFlag,
+		NICGapUS:    *gapUS,
+		FramePacing: *pacing,
+	}
+	// Checked before the frame-pacing cells, which share the sweep floor
+	// and frame size, are submitted.
+	if err := fopts.Validate(); err != nil {
+		fail(err)
+	}
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		fail(err)
 	}
@@ -114,20 +132,8 @@ func main() {
 
 	fmt.Printf("stormsweep: %d track(s) over [%d, %d] pps on %d workers (%v per replica)\n",
 		len(oses)*len(modes), int64(*minPPS), int64(*maxPPS), *jobs, *duration)
-	fs, err := frontier.Run(run, frontier.Options{
-		OSes:        oses,
-		Modes:       modes,
-		MinPPS:      *minPPS,
-		MaxPPS:      *maxPPS,
-		BisectSteps: *bisect,
-		Duration:    *duration,
-		Runs:        *runs,
-		Precision:   pol,
-		StormBytes:  *bytesFlag,
-		NICGapUS:    *gapUS,
-		FramePacing: *pacing,
-		Metrics:     obs.Registry,
-	})
+	fopts.Metrics = obs.Registry
+	fs, err := frontier.Run(run, fopts)
 	if err != nil {
 		cli.FailCampaign("stormsweep", run, obs, err)
 	}

@@ -10,9 +10,12 @@ package api
 //
 //	POST /v1/workers                 register        -> RegisterResponse
 //	POST /v1/workers/{id}/heartbeat  stay alive      -> 204 (410: re-register)
-//	POST /v1/workers/{id}/leases     claim cells     -> LeaseResponse
+//	POST /v1/workers/{id}/leases     claim next cell -> LeaseResponse
 //	POST /v1/workers/{id}/complete   deliver a cell  -> 200 merged (410: no live cell, 422: rejected)
 //	GET  /v1/fleet                   observability   -> FleetStatus
+//
+// A lease request has no body and claims at most one cell; a worker that
+// runs several cells at once keeps one lease loop per cell.
 //
 // A lease carries the cell's complete identity: base seed, key, and the
 // final RunConfig with the per-cell seed already derived (sim.DeriveSeed —
@@ -84,14 +87,9 @@ func short(fp string) string {
 	return fp
 }
 
-// LeaseRequest is the POST /v1/workers/{id}/leases body.
-type LeaseRequest struct {
-	// Max bounds how many cells the worker wants; the coordinator may
-	// grant fewer (including zero, when the queue is empty or draining).
-	Max int `json:"max"`
-}
-
-// LeaseResponse carries the granted leases. Empty Leases with Draining
+// LeaseResponse carries the granted lease: Leases holds at most one. It
+// stays an array so that a worker or coordinator that asks for or grants
+// several cells per call still interoperates. Empty Leases with Draining
 // false means "no work right now, poll again"; Draining true means the
 // coordinator is shutting down and the worker should finish what it holds
 // and exit.

@@ -233,9 +233,6 @@ func New(opts Options) *Runner {
 	return r
 }
 
-// BaseSeed returns the campaign's base seed.
-func (r *Runner) BaseSeed() uint64 { return r.opts.BaseSeed }
-
 // Jobs returns the campaign's worker-pool width.
 func (r *Runner) Jobs() int { return r.opts.Jobs }
 

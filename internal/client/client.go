@@ -101,11 +101,21 @@ func retryable(code int) bool {
 	return code == http.StatusTooManyRequests || code >= 500
 }
 
-// backoff returns the delay before attempt (0-based) attempt+1, raised to
-// retryAfter when the server supplied one. The schedule itself lives in
-// Backoff, shared with the fleet worker loop.
+// backoff returns the delay before attempt (0-based) attempt+1 on the
+// equal-jitter schedule Options describes: half of each window is fixed,
+// so the delay never collapses to ~0, and half is random, so clients that
+// failed together do not retry together. Every call shares it, the fleet
+// worker loop's included.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	return Backoff{Base: c.opts.BaseDelay, Max: c.opts.MaxDelay, Rand: c.opts.Rand}.Delay(attempt, retryAfter)
+	d := c.opts.BaseDelay << attempt
+	if d > c.opts.MaxDelay || d <= 0 { // <<-overflow guard
+		d = c.opts.MaxDelay
+	}
+	d = d/2 + time.Duration(c.opts.Rand()*float64(d/2))
+	if retryAfter > d {
+		d = retryAfter
+	}
+	return d
 }
 
 // parseRetryAfter reads a Retry-After header (delta-seconds or HTTP-date).

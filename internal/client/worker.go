@@ -1,18 +1,20 @@
 package client
 
 // The fleet worker loop: the other half of the coordinator protocol in
-// internal/server. A worker registers, then cycles lease → verify →
-// execute → complete while a background heartbeat keeps its leases alive.
-// Everything it sends rides the same Backoff schedule as the rest of the
-// client, and every message is idempotent — a retried completion of an
-// already-merged cell finds no live task and is answered 410, which the
-// worker drops — so the loop
-// survives dropped connections, coordinator restarts (a session that dies
-// on a transport failure re-registers instead of exiting, so a worker
-// outlives arbitrary coordinator downtime once it has registered), and
-// its own expiry (a 410 from any call sends it back through registration
-// with a fresh identity; its old leases are re-dispatched, and if it
-// already finished one, the straggler completion still merges).
+// internal/server. A worker registers, then runs WorkerOptions.Cells lease
+// loops while a background heartbeat keeps its leases alive. Each loop
+// holds at most one cell: it leases → verifies → executes → completes it,
+// and only then asks for the next, as the paper's control application
+// keeps one read IRP in flight. Everything it sends rides the same backoff
+// schedule as the rest of the client, and every message is idempotent — a
+// retried completion of an already-merged cell finds no live task and is
+// answered 410, which the worker drops — so the loops survive dropped
+// connections, coordinator restarts (a session that dies on a transport
+// failure re-registers instead of exiting, so a worker outlives arbitrary
+// coordinator downtime once it has registered), and the worker's own
+// expiry (a 410 from any call sends it back through registration with a
+// fresh identity; its old leases are re-dispatched, and if it already
+// finished one, the straggler completion still merges).
 //
 // With a Store attached the worker is checkpoint-backed: every lease is
 // looked up by fingerprint before executing — a hit (its own earlier run,
@@ -38,6 +40,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wdmlat/internal/api"
@@ -49,8 +52,9 @@ import (
 type WorkerOptions struct {
 	// Name labels the worker in coordinator logs and /v1/fleet.
 	Name string
-	// Cells bounds how many leased cells execute concurrently (default 1;
-	// one cell already saturates a core, so raise it only on big hosts).
+	// Cells is the number of lease loops, each holding at most one cell,
+	// so it bounds how many cells execute concurrently (default 1; one
+	// cell already saturates a core, so raise it only on big hosts).
 	Cells int
 	// Execute overrides the cell executor, core.Run — tests inject fakes
 	// and saboteurs. Must stay a pure function of its config.
@@ -156,11 +160,15 @@ func (c *Client) register(ctx context.Context, name string) (api.RegisterRespons
 }
 
 // workerSession drives one registered identity: a heartbeat ticker at a
-// third of the lease TTL, and a lease/execute/complete loop with up to
-// opts.Cells cells in flight. It returns errWorkerGone when any call
-// answers 410, nil when the coordinator drains, ctx.Err() on cancellation.
+// third of the lease TTL, and opts.Cells lease loops, each asking for a
+// cell only when it holds none. The first failure — a 410 from any call
+// (errWorkerGone), a lease that fails verification, a failed lease call or
+// heartbeat — cancels the other loops, which finish their cells, and is
+// returned. A drain returns nil once every loop has delivered its cell;
+// cancellation returns ctx.Err().
 func (c *Client) workerSession(ctx context.Context, reg api.RegisterResponse, opts WorkerOptions) error {
 	sessionCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	ttl := time.Duration(reg.LeaseTTLMillis) * time.Millisecond
 	if ttl <= 0 {
@@ -171,21 +179,18 @@ func (c *Client) workerSession(ctx context.Context, reg api.RegisterResponse, op
 		poll = 500 * time.Millisecond
 	}
 
-	// Heartbeat in the background; its failure modes surface on beatErr
-	// and end the session (gone → re-register upstream).
-	beatErr := make(chan error, 1)
-	var wg sync.WaitGroup     // heartbeat goroutine
-	var execWG sync.WaitGroup // in-flight cells
-	defer func() {
-		// Cancellation must precede the waits or the heartbeat ticker
-		// would keep a drained session alive forever.
-		cancel()
-		execWG.Wait()
-		wg.Wait()
-	}()
-	wg.Add(1)
+	// end records the session's outcome once and cancels the rest; the
+	// errors that cancellation then causes are not the outcome.
+	var once sync.Once
+	var outcome error
+	end := func(err error) {
+		once.Do(func() { outcome = err; cancel() })
+	}
+
+	var beat sync.WaitGroup
+	beat.Add(1)
 	go func() {
-		defer wg.Done()
+		defer beat.Done()
 		t := time.NewTicker(ttl / 3)
 		defer t.Stop()
 		for {
@@ -194,77 +199,57 @@ func (c *Client) workerSession(ctx context.Context, reg api.RegisterResponse, op
 				return
 			case <-t.C:
 				if err := c.heartbeat(sessionCtx, reg.WorkerID); err != nil {
-					select {
-					case beatErr <- err:
-					default:
-					}
+					end(err)
 					return
 				}
 			}
 		}
 	}()
 
-	// sem bounds in-flight cells; executions run in goroutines so a slow
-	// cell never blocks leasing the next one.
-	sem := make(chan struct{}, opts.Cells)
-	cellErr := make(chan error, 1)
-
-	for {
-		select {
-		case err := <-beatErr:
-			return err
-		case err := <-cellErr:
-			return err // fatal (skew): the deferred cancel drains in-flight cells
-		case <-sessionCtx.Done():
-			return ctx.Err()
-		case sem <- struct{}{}:
-		}
-
-		// Ask for as many cells as we have free slots (the one just
-		// reserved plus any others idle).
-		free := 1
-		for len(sem) < cap(sem) {
-			select {
-			case sem <- struct{}{}:
-				free++
-			default:
+	// draining is set by the first loop the coordinator tells to drain;
+	// the others stop asking once their cell is delivered.
+	var draining atomic.Bool
+	leaseLoop := func() error {
+		for !draining.Load() {
+			resp, err := c.lease(sessionCtx, reg.WorkerID)
+			if err != nil {
+				return err
 			}
-		}
-		resp, err := c.lease(sessionCtx, reg.WorkerID, free)
-		if err != nil {
-			for i := 0; i < free; i++ {
-				<-sem
+			if resp.Draining {
+				draining.Store(true)
+				return nil
 			}
-			return err
-		}
-		for i := len(resp.Leases); i < free; i++ {
-			<-sem // slots the coordinator didn't fill
-		}
-		if resp.Draining {
-			execWG.Wait()
-			return nil
-		}
-		for i := range resp.Leases {
-			l := resp.Leases[i]
-			execWG.Add(1)
-			go func() {
-				defer execWG.Done()
-				defer func() { <-sem }()
-				if err := c.executeLease(sessionCtx, reg.WorkerID, l, opts); err != nil {
-					select {
-					case cellErr <- err:
-					default:
-					}
+			if len(resp.Leases) == 0 {
+				// Idle: wait the coordinator's poll hint before asking again.
+				if err := c.opts.Sleep(sessionCtx, poll); err != nil {
+					return err
 				}
-			}()
-		}
-		if len(resp.Leases) == 0 {
-			// Idle: wait the coordinator's poll hint before asking again.
-			if err := c.opts.Sleep(sessionCtx, poll); err != nil {
-				return ctx.Err()
+			}
+			for _, l := range resp.Leases {
+				if err := c.executeLease(sessionCtx, reg.WorkerID, l, opts); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
+	var loops sync.WaitGroup
+	loops.Add(opts.Cells)
+	for i := 0; i < opts.Cells; i++ {
+		go func() {
+			defer loops.Done()
+			if err := leaseLoop(); err != nil {
+				end(err)
+			}
+		}()
+	}
+	loops.Wait()
+	end(nil) // stops the heartbeat
+	beat.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return outcome
 }
 
 // executeLease verifies, resolves (checkpoint store first, simulator
@@ -338,12 +323,8 @@ func (c *Client) heartbeat(ctx context.Context, workerID string) error {
 	return mapGone(err)
 }
 
-func (c *Client) lease(ctx context.Context, workerID string, max int) (api.LeaseResponse, error) {
-	body, err := json.Marshal(api.LeaseRequest{Max: max})
-	if err != nil {
-		return api.LeaseResponse{}, err
-	}
-	data, err := c.do(ctx, http.MethodPost, "/v1/workers/"+workerID+"/leases", body)
+func (c *Client) lease(ctx context.Context, workerID string) (api.LeaseResponse, error) {
+	data, err := c.do(ctx, http.MethodPost, "/v1/workers/"+workerID+"/leases", nil)
 	if err != nil {
 		return api.LeaseResponse{}, mapGone(err)
 	}

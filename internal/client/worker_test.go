@@ -1,8 +1,8 @@
 package client
 
-// Worker-loop suite: semaphore accounting in workerSession (observed
-// through the Max each lease request carries — the only externally
-// visible shadow of the slot pool), the checkpoint-backed lease path
+// Worker-loop suite: the lease loops of workerSession (observed through
+// how many cells the worker holds whenever it asks for another), the
+// checkpoint-backed lease path
 // (cache hits skip the simulator and are flagged to the coordinator),
 // RunWorker's survival of a coordinator restart, and its handling of a
 // completion the coordinator no longer wants.
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -51,24 +52,28 @@ func workerFakeResult(cfg core.RunConfig) *core.Result {
 
 // leaseStep scripts one lease response from the fake coordinator.
 type leaseStep struct {
-	grant    int  // leases to hand out (blocking cells)
+	grant    bool // hand out one (blocking) cell
 	status   int  // if nonzero: answer this HTTP status instead
 	draining bool // answer Draining: true
 	release  bool // unblock all in-flight cells while serving this step
 }
 
+// leaseAudit is what the scripted coordinator saw of a session.
+type leaseAudit struct {
+	held        []int // cells leased and not yet completed, at each lease request
+	completions int   // completions delivered before the session returned
+	err         error // workerSession's return value
+}
+
 // scriptedCoordinator runs workerSession against a scripted lease
 // endpoint. Granted cells block until a step with release fires. Once the
-// script is exhausted, the coordinator grants nothing until a request
-// arrives asking for the full slot count — proof no slot leaked — and
-// then drains; a leaked slot therefore shows up as a test timeout, a
-// double-released one as Max exceeding the configured cell count.
-func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) (maxs []int, completions int, err error) {
+// script is exhausted the coordinator drains. Every lease request must
+// arrive without a body.
+func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) leaseAudit {
 	t.Helper()
 	var mu sync.Mutex
-	var recordedMaxs []int
-	completed := 0
-	step := 0
+	var audit leaseAudit
+	leased, step := 0, 0
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 
@@ -78,32 +83,29 @@ func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) (maxs []int
 	})
 	mux.HandleFunc("POST /v1/workers/w1/complete", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		completed++
+		audit.completions++
 		mu.Unlock()
 		writeTestJSON(w, http.StatusOK, map[string]string{"status": "merged"})
 	})
 	mux.HandleFunc("POST /v1/workers/w1/leases", func(w http.ResponseWriter, r *http.Request) {
-		var req api.LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("decoding lease request: %v", err)
+		if body, _ := io.ReadAll(r.Body); len(body) != 0 {
+			t.Errorf("lease request carried a body: %q", body)
 		}
 		mu.Lock()
-		recordedMaxs = append(recordedMaxs, req.Max)
+		audit.held = append(audit.held, leased-audit.completions)
 		var cur leaseStep
 		scripted := step < len(steps)
 		if scripted {
 			cur = steps[step]
 			step++
 		}
-		n := len(recordedMaxs)
+		if cur.grant {
+			leased++
+		}
+		n := leased
 		mu.Unlock()
 		if !scripted {
-			// Script exhausted: drain only once every slot is home.
-			if req.Max == cells {
-				writeTestJSON(w, http.StatusOK, api.LeaseResponse{Draining: true})
-			} else {
-				writeTestJSON(w, http.StatusOK, api.LeaseResponse{})
-			}
+			writeTestJSON(w, http.StatusOK, api.LeaseResponse{Draining: true})
 			return
 		}
 		if cur.release {
@@ -114,8 +116,8 @@ func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) (maxs []int
 			return
 		}
 		resp := api.LeaseResponse{Draining: cur.draining}
-		for i := 0; i < cur.grant; i++ {
-			resp.Leases = append(resp.Leases, workerLease(t, fmt.Sprintf("nt4/business/sem/%d-%d", n, i)))
+		if cur.grant {
+			resp.Leases = []api.Lease{workerLease(t, fmt.Sprintf("nt4/business/loop/%d", n))}
 		}
 		writeTestJSON(w, http.StatusOK, resp)
 	})
@@ -136,15 +138,17 @@ func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) (maxs []int
 	}
 	done := make(chan error, 1)
 	go func() { done <- c.workerSession(context.Background(), reg, opts) }()
+	var err error
 	select {
 	case err = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("workerSession did not return: a leaked slot keeps Max below the drain threshold forever")
+		t.Fatal("workerSession did not return")
 	}
 	releaseOnce.Do(func() { close(release) }) // scenarios that never release
 	mu.Lock()
 	defer mu.Unlock()
-	return recordedMaxs, completed, err
+	audit.err = err
+	return audit
 }
 
 func writeTestJSON(w http.ResponseWriter, code int, v any) {
@@ -153,86 +157,95 @@ func writeTestJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// TestWorkerSessionSemaphoreAccounting drives the slot pool through
-// partial grants, zero grants, lease errors and the drain path, asserting
-// no slot is ever leaked (Max returns to the full cell count) or
-// double-released (Max never exceeds it).
+// TestWorkerSessionSemaphoreAccounting keeps its name from the slot pool
+// the worker once shared between its cells; that pool is gone, and each
+// of the Cells lease loops holds at most one cell. The cases check that a
+// loop asks for a lease only when it holds no cell (so a lease request
+// never finds all Cells cells held), that a drain returns nil only after
+// the in-flight cells are delivered, that a failed lease call ends the
+// session with its status, and that idle polls keep the session alive.
 func TestWorkerSessionSemaphoreAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		cells       int
 		steps       []leaseStep
 		wantErr     int   // expected *StatusError code, 0 for nil error
-		wantPrefix  []int // exact leading Max sequence
+		wantHeld    []int // exact leading sequence of cells held at each lease request
 		wantComplet int   // completions expected by session end (-1: don't check)
 	}{
 		{
-			// Ask 3, get 1: the two unused reservations must return to the
-			// pool (next ask is 2, not 0), and once the cell finishes every
-			// ask is 3 again.
-			name:        "partial grant returns unused slots",
-			cells:       3,
-			steps:       []leaseStep{{grant: 1}, {grant: 0}, {grant: 0, release: true}},
-			wantPrefix:  []int{3, 2, 2},
+			// Cells never block here, so a loop that asked again before
+			// its completion was delivered would find its cell held.
+			name:        "a loop asks only when it holds no cell",
+			cells:       1,
+			steps:       []leaseStep{{grant: true, release: true}, {grant: true}, {}},
+			wantHeld:    []int{0, 0, 0},
+			wantComplet: 2,
+		},
+		{
+			// One loop holds its cell and stays silent; the other keeps
+			// polling and sees that one cell held, never two.
+			name:        "one loop polls while the other holds its cell",
+			cells:       2,
+			steps:       []leaseStep{{grant: true}, {}, {}, {release: true}},
+			wantHeld:    []int{0, 1, 1, 1},
 			wantComplet: 1,
 		},
 		{
-			// A lease error must hand back every reserved slot before the
-			// session dies; the in-flight cell still drains through the
-			// deferred wait.
-			name:        "lease error releases reserved slots",
+			// Draining with cells in flight: the session must wait for
+			// their completions before returning nil.
+			name:        "drain waits for in-flight cells",
 			cells:       3,
-			steps:       []leaseStep{{grant: 1}, {status: http.StatusNotFound, release: true}},
+			steps:       []leaseStep{{grant: true}, {grant: true}, {draining: true, release: true}},
+			wantHeld:    []int{0, 1, 2},
+			wantComplet: 2,
+		},
+		{
+			// A lease error ends the session with its status; the other
+			// loop's cell still drains before the session returns.
+			name:        "failed lease call ends the session",
+			cells:       2,
+			steps:       []leaseStep{{grant: true}, {status: http.StatusNotFound, release: true}},
 			wantErr:     http.StatusNotFound,
-			wantPrefix:  []int{3, 2},
+			wantHeld:    []int{0, 1},
 			wantComplet: -1, // delivery races session teardown; either way is sound
 		},
 		{
-			// Draining with a cell in flight: the session must wait for the
-			// cell's completion before returning nil.
-			name:        "drain waits for in-flight cells",
+			// Idle polling keeps the session alive until the drain.
+			name:        "idle polls keep the session alive",
 			cells:       2,
-			steps:       []leaseStep{{grant: 1}, {draining: true, release: true}},
-			wantPrefix:  []int{2, 1},
-			wantComplet: 1,
-		},
-		{
-			// Idle polling must not bleed slots: every empty grant returns
-			// everything it reserved.
-			name:        "zero grants keep the pool full",
-			cells:       2,
-			steps:       []leaseStep{{grant: 0}, {grant: 0}, {grant: 0}},
-			wantPrefix:  []int{2, 2, 2},
+			steps:       []leaseStep{{}, {}, {}},
+			wantHeld:    []int{0, 0, 0},
 			wantComplet: 0,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			maxs, completions, err := scriptedCoordinator(t, tc.cells, tc.steps)
+			audit := scriptedCoordinator(t, tc.cells, tc.steps)
 			if tc.wantErr == 0 {
-				if err != nil {
-					t.Fatalf("session err = %v, want nil", err)
+				if audit.err != nil {
+					t.Fatalf("session err = %v, want nil", audit.err)
 				}
 			} else {
 				var se *StatusError
-				if !errors.As(err, &se) || se.Code != tc.wantErr {
-					t.Fatalf("session err = %v, want status %d", err, tc.wantErr)
+				if !errors.As(audit.err, &se) || se.Code != tc.wantErr {
+					t.Fatalf("session err = %v, want status %d", audit.err, tc.wantErr)
 				}
 			}
-			if len(maxs) < len(tc.wantPrefix) {
-				t.Fatalf("lease requests %v, want at least %d", maxs, len(tc.wantPrefix))
+			if len(audit.held) < len(tc.wantHeld) {
+				t.Fatalf("lease requests saw %v cells held, want at least %d requests", audit.held, len(tc.wantHeld))
 			}
-			for i, want := range tc.wantPrefix {
-				if maxs[i] != want {
-					t.Fatalf("lease request %d asked Max=%d, want %d (full sequence %v)", i, maxs[i], want, maxs)
+			for i, want := range tc.wantHeld {
+				if audit.held[i] != want {
+					t.Fatalf("lease request %d found %d cells held, want %d (full sequence %v)", i, audit.held[i], want, audit.held)
 				}
 			}
-			for i, m := range maxs {
-				if m > tc.cells {
-					t.Fatalf("lease request %d asked Max=%d > %d cells: a slot was double-released (%v)", i, m, tc.cells, maxs)
+			for i, h := range audit.held {
+				if h >= tc.cells {
+					t.Fatalf("lease request %d found %d cells held with %d loops: a loop asked while holding a cell (%v)", i, h, tc.cells, audit.held)
 				}
 			}
-			if tc.wantComplet >= 0 && completions != tc.wantComplet {
-				t.Fatalf("completions = %d, want %d", completions, tc.wantComplet)
+			if tc.wantComplet >= 0 && audit.completions != tc.wantComplet {
+				t.Fatalf("completions = %d, want %d", audit.completions, tc.wantComplet)
 			}
 		})
 	}

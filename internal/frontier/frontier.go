@@ -110,6 +110,30 @@ func (o Options) normalized() Options {
 	return o
 }
 
+// Validate rejects options that describe no sweep: a rate or gap that is
+// NaN or infinite (the simulator builds no storm at a NaN rate, and the
+// checkpoint fingerprint cannot encode one), a floor below 1 pps or above
+// the ceiling once defaults apply, or a negative frame size. Run calls it
+// before its first probe.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"MinPPS", o.MinPPS}, {"MaxPPS", o.MaxPPS}, {"NICGapUS", o.NICGapUS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("frontier: %s is %v, want a finite number", f.name, f.v)
+		}
+	}
+	n := o.normalized()
+	if n.MinPPS < 1 || n.MinPPS > n.MaxPPS {
+		return fmt.Errorf("frontier: sweep range [%v, %v] pps is empty or starts below 1 pps", n.MinPPS, n.MaxPPS)
+	}
+	if o.StormBytes < 0 {
+		return fmt.Errorf("frontier: StormBytes is %d, want >= 0", o.StormBytes)
+	}
+	return nil
+}
+
 // Probe is one evaluated offered-load point on a track.
 type Probe struct {
 	PPS     float64
@@ -164,6 +188,9 @@ func rateKey(os ospersona.OS, mode hw.Moderation, pps float64) string {
 // setting, across kill/resume against the same store, and under fleet
 // dispatch.
 func Run(r *campaign.Runner, opts Options) ([]Frontier, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	o := opts.normalized()
 	probesMet := counter(o.Metrics, MetricProbes)
 	satMet := counter(o.Metrics, MetricSaturatedProbes)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -257,5 +258,43 @@ func TestFrontierAdaptivePrecision(t *testing.T) {
 	b := runSweep(t, campaign.Options{BaseSeed: 41, Jobs: 8}, opts)
 	if !bytes.Equal(frontierBytes(t, a), frontierBytes(t, b)) {
 		t.Error("adaptive sweep not byte-identical across jobs 4 and 8")
+	}
+}
+
+// TestFrontierRejectsUnsweepableOptions: options that describe no sweep
+// fail Run before its first probe, so nothing reaches the simulator or the
+// checkpoint store. A NaN floor used to build no storm and panic in the
+// criterion; a NaN gap used to panic in the store's fingerprint; the rest
+// swept a range that is not one, or failed every cell.
+func TestFrontierRejectsUnsweepableOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(o *frontier.Options)
+	}{
+		{"NaN floor", func(o *frontier.Options) { o.MinPPS = math.NaN() }},
+		{"infinite ceiling", func(o *frontier.Options) { o.MaxPPS = math.Inf(1) }},
+		{"NaN gap", func(o *frontier.Options) { o.NICGapUS = math.NaN() }},
+		{"infinite gap", func(o *frontier.Options) { o.NICGapUS = math.Inf(-1) }},
+		{"floor above the default ceiling", func(o *frontier.Options) { o.MinPPS, o.MaxPPS = 300000, 0 }},
+		{"floor below one packet per second", func(o *frontier.Options) { o.MinPPS = 0.5 }},
+		{"negative frame size", func(o *frontier.Options) { o.StormBytes = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := campaign.New(campaign.Options{BaseSeed: 41, Jobs: 2, Store: st})
+			opts := sweepOpts(nil)
+			opts.Modes = []hw.Moderation{hw.ModerateITR}
+			tc.edit(&opts)
+			fs, err := frontier.Run(run, opts)
+			if err == nil {
+				t.Fatalf("Run accepted the options and returned %d frontiers", len(fs))
+			}
+			if _, total := run.Progress(); total != 0 {
+				t.Fatalf("Run submitted %d cells before failing: %v", total, err)
+			}
+		})
 	}
 }

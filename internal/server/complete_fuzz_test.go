@@ -61,7 +61,7 @@ func FuzzCompleteRequest(f *testing.F) {
 		out := startCell(context.Background(), co, baseSeed, key, cfg)
 		waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 		w, _ := co.Register("fuzz")
-		if resp, ok := co.Lease(w.WorkerID, 1); !ok || len(resp.Leases) != 1 || resp.Leases[0].Fingerprint != fp {
+		if resp, ok := co.Lease(w.WorkerID); !ok || len(resp.Leases) != 1 || resp.Leases[0].Fingerprint != fp {
 			t.Fatalf("lease: ok=%v %+v", ok, resp)
 		}
 

@@ -237,13 +237,10 @@ func (co *Coordinator) Heartbeat(workerID string) bool {
 	return true
 }
 
-// Lease hands up to max pending cells to the worker. ok is false for
-// unknown workers. An empty grant with Draining set tells the worker to
-// finish up and exit.
-func (co *Coordinator) Lease(workerID string, max int) (resp api.LeaseResponse, ok bool) {
-	if max < 1 {
-		max = 1
-	}
+// Lease hands the next pending cell, if any, to the worker. ok is false
+// for unknown workers. An empty grant with Draining set tells the worker
+// to finish up and exit.
+func (co *Coordinator) Lease(workerID string) (resp api.LeaseResponse, ok bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w, wok := co.workers[workerID]
@@ -254,13 +251,13 @@ func (co *Coordinator) Lease(workerID string, max int) (resp api.LeaseResponse, 
 	if co.draining {
 		return api.LeaseResponse{Draining: true}, true
 	}
-	for len(resp.Leases) < max && len(co.queue) > 0 {
+	if len(co.queue) > 0 {
 		t := co.queue[0]
 		co.queue = co.queue[1:]
 		t.state = taskLeased
 		t.owner = w.id
 		w.leases[t.lease.Fingerprint] = t
-		resp.Leases = append(resp.Leases, t.lease)
+		resp.Leases = []api.Lease{t.lease}
 		co.met.granted.Inc()
 		co.met.queueDepth.Dec()
 		co.met.cellsOut.Inc()

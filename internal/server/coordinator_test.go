@@ -127,7 +127,7 @@ func TestCoordinatorReclaimsSilentWorker(t *testing.T) {
 
 	// The doomed worker takes the lease and goes dark.
 	dead, _ := co.Register("dead")
-	resp, ok := co.Lease(dead.WorkerID, 4)
+	resp, ok := co.Lease(dead.WorkerID)
 	if !ok || len(resp.Leases) != 1 {
 		t.Fatalf("lease to dead worker: ok=%v leases=%d", ok, len(resp.Leases))
 	}
@@ -160,7 +160,7 @@ func TestCoordinatorReclaimsSilentWorker(t *testing.T) {
 
 	// The re-dispatched lease must be the same cell, and its completion
 	// must release the original waiter.
-	resp, ok = co.Lease(live.WorkerID, 1)
+	resp, ok = co.Lease(live.WorkerID)
 	if !ok || len(resp.Leases) != 1 {
 		t.Fatalf("re-dispatch lease: ok=%v leases=%d", ok, len(resp.Leases))
 	}
@@ -198,7 +198,7 @@ func TestCoordinatorRejectsCorruptPayloads(t *testing.T) {
 
 	takeLease := func() api.Lease {
 		t.Helper()
-		resp, ok := co.Lease(w.WorkerID, 1)
+		resp, ok := co.Lease(w.WorkerID)
 		if !ok || len(resp.Leases) != 1 {
 			t.Fatalf("lease: ok=%v leases=%d", ok, len(resp.Leases))
 		}
@@ -275,7 +275,7 @@ func TestCoordinatorDuplicateCompletionIsNoOp(t *testing.T) {
 	out := startCell(context.Background(), co, 3, "nt4/business/dup/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	w, _ := co.Register("")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	l := resp.Leases[0]
 	payload := fakePayload(t, l)
 
@@ -312,13 +312,13 @@ func TestCoordinatorStragglerFromExpiredWorkerMerges(t *testing.T) {
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 
 	slow, _ := co.Register("slow")
-	resp, _ := co.Lease(slow.WorkerID, 1)
+	resp, _ := co.Lease(slow.WorkerID)
 	l := resp.Leases[0]
 
 	clock.Advance(6 * time.Second)
 	co.Reclaim()
 	second, _ := co.Register("second")
-	resp2, _ := co.Lease(second.WorkerID, 1)
+	resp2, _ := co.Lease(second.WorkerID)
 	if len(resp2.Leases) != 1 || resp2.Leases[0].Fingerprint != l.Fingerprint {
 		t.Fatalf("re-dispatch after expiry: %+v", resp2)
 	}
@@ -369,7 +369,7 @@ func TestCoordinatorStragglerCompletesBeforeRedispatch(t *testing.T) {
 			out := startCell(context.Background(), co, 17, "nt4/business/early-straggler/0", cellConfig(time.Millisecond))
 			waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 			slow, _ := co.Register("slow")
-			resp, _ := co.Lease(slow.WorkerID, 1)
+			resp, _ := co.Lease(slow.WorkerID)
 			l := resp.Leases[0]
 
 			clock.Advance(6 * time.Second)
@@ -393,7 +393,7 @@ func TestCoordinatorStragglerCompletesBeforeRedispatch(t *testing.T) {
 			// No ghost grant: a fresh worker asking for work gets nothing,
 			// and the queue/lease gauges are back to zero.
 			late, _ := co.Register("late")
-			if resp, ok := co.Lease(late.WorkerID, 4); !ok || len(resp.Leases) != 0 {
+			if resp, ok := co.Lease(late.WorkerID); !ok || len(resp.Leases) != 0 {
 				t.Fatalf("lease after merged straggler: ok=%v grants=%d, want empty", ok, len(resp.Leases))
 			}
 			if got := reg.Gauge(MetricFleetQueueDepth).Value(); got != 0 {
@@ -419,7 +419,7 @@ func TestCoordinatorCorruptStragglerDoesNotDoubleQueue(t *testing.T) {
 	out := startCell(context.Background(), co, 19, "nt4/business/corrupt-straggler/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	slow, _ := co.Register("slow")
-	resp, _ := co.Lease(slow.WorkerID, 1)
+	resp, _ := co.Lease(slow.WorkerID)
 	l := resp.Leases[0]
 
 	clock.Advance(6 * time.Second)
@@ -438,12 +438,12 @@ func TestCoordinatorCorruptStragglerDoesNotDoubleQueue(t *testing.T) {
 
 	// Exactly one copy of the cell is grantable.
 	first, _ := co.Register("first")
-	grant, _ := co.Lease(first.WorkerID, 4)
+	grant, _ := co.Lease(first.WorkerID)
 	if len(grant.Leases) != 1 {
 		t.Fatalf("re-dispatch grant: %d leases, want 1", len(grant.Leases))
 	}
 	second, _ := co.Register("second")
-	if resp, _ := co.Lease(second.WorkerID, 4); len(resp.Leases) != 0 {
+	if resp, _ := co.Lease(second.WorkerID); len(resp.Leases) != 0 {
 		t.Fatalf("cell leased twice: second worker got %d leases", len(resp.Leases))
 	}
 
@@ -471,7 +471,7 @@ func TestCoordinatorWorkerErrorFailsCellDeterministically(t *testing.T) {
 	out := startCell(context.Background(), co, 5, "nt4/business/panic/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	w, _ := co.Register("")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	l := resp.Leases[0]
 
 	disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Error: "panic: boom"})
@@ -504,7 +504,7 @@ func TestCoordinatorDrainWithLeasesOutstanding(t *testing.T) {
 	queued := startCell(context.Background(), co, 21, "nt4/business/drain/1", cellConfig(2*time.Millisecond))
 	waitFor(t, "cells enqueued", func() bool { return co.Status().Pending == 2 })
 	w, _ := co.Register("holder")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	if len(resp.Leases) != 1 {
 		t.Fatalf("lease grant: %d", len(resp.Leases))
 	}
@@ -522,7 +522,7 @@ func TestCoordinatorDrainWithLeasesOutstanding(t *testing.T) {
 			t.Fatalf("%s cell: waiter still blocked after Close", name)
 		}
 	}
-	if resp, ok := co.Lease(w.WorkerID, 1); !ok || !resp.Draining || len(resp.Leases) != 0 {
+	if resp, ok := co.Lease(w.WorkerID); !ok || !resp.Draining || len(resp.Leases) != 0 {
 		t.Fatalf("post-drain lease: ok=%v %+v, want empty draining grant", ok, resp)
 	}
 	if disp, _ := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l)}); disp != CompleteUnknown {
@@ -558,7 +558,7 @@ func TestCoordinatorCancelledWaiterRetractsCell(t *testing.T) {
 	out2 := startCell(ctx2, co, 31, "nt4/business/retract/1", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	w, _ := co.Register("")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	l := resp.Leases[0]
 	cancel2()
 	if res := <-out2; !errors.Is(res.err, context.Canceled) {
@@ -570,8 +570,8 @@ func TestCoordinatorCancelledWaiterRetractsCell(t *testing.T) {
 }
 
 // TestCoordinatorDeduplicatesIdenticalCells: two campaigns wanting the
-// same fingerprint share one lease, and a single completion releases both
-// waiters with the same result.
+// same fingerprint share one lease — a second lease call grants nothing —
+// and a single completion releases both waiters with the same result.
 func TestCoordinatorDeduplicatesIdenticalCells(t *testing.T) {
 	reg := metrics.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, Metrics: reg})
@@ -580,12 +580,22 @@ func TestCoordinatorDeduplicatesIdenticalCells(t *testing.T) {
 	cfg := cellConfig(3 * time.Millisecond)
 	a := startCell(context.Background(), co, 55, "nt4/business/shared/0", cfg)
 	b := startCell(context.Background(), co, 55, "nt4/business/shared/0", cfg)
-	waitFor(t, "deduped enqueue", func() bool { return co.Status().Pending == 1 })
+	// Both waiters must have joined the one task before it is leased: a
+	// waiter arriving after the completion would queue the cell afresh
+	// and wait forever.
+	waitFor(t, "deduped enqueue", func() bool {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return len(co.queue) == 1 && co.queue[0].refs == 2
+	})
 
 	w, _ := co.Register("")
-	resp, _ := co.Lease(w.WorkerID, 8)
+	resp, _ := co.Lease(w.WorkerID)
 	if len(resp.Leases) != 1 {
 		t.Fatalf("identical cells produced %d leases, want 1", len(resp.Leases))
+	}
+	if again, _ := co.Lease(w.WorkerID); len(again.Leases) != 0 {
+		t.Fatalf("second lease of the shared fingerprint granted %d cells, want 0", len(again.Leases))
 	}
 	l := resp.Leases[0]
 	if _, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l)}); err != nil {
@@ -636,7 +646,7 @@ func TestCoordinatorRejectsPaddedPayload(t *testing.T) {
 	out := startCell(context.Background(), co, 7, "nt4/business/padded/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	w, _ := co.Register("strict")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	if len(resp.Leases) != 1 {
 		t.Fatalf("leases = %d, want 1", len(resp.Leases))
 	}
@@ -662,7 +672,7 @@ func TestCoordinatorRejectsPaddedPayload(t *testing.T) {
 	}
 
 	// The exact canonical bytes still merge and release the waiter.
-	resp, _ = co.Lease(w.WorkerID, 1)
+	resp, _ = co.Lease(w.WorkerID)
 	if len(resp.Leases) != 1 || resp.Leases[0].Fingerprint != l.Fingerprint {
 		t.Fatalf("re-lease after rejections = %+v", resp.Leases)
 	}
@@ -685,7 +695,7 @@ func TestCoordinatorCountsCacheHitCompletions(t *testing.T) {
 	out := startCell(context.Background(), co, 7, "nt4/business/cachehit/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
 	w, _ := co.Register("cached")
-	resp, _ := co.Lease(w.WorkerID, 1)
+	resp, _ := co.Lease(w.WorkerID)
 	l := resp.Leases[0]
 
 	// A rejected cached payload must not count.
@@ -697,7 +707,7 @@ func TestCoordinatorCountsCacheHitCompletions(t *testing.T) {
 		t.Fatalf("%s = %d after rejection, want 0", MetricFleetCellsCacheHit, got)
 	}
 
-	resp, _ = co.Lease(w.WorkerID, 1)
+	resp, _ = co.Lease(w.WorkerID)
 	l = resp.Leases[0]
 	if disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: l.Fingerprint, Result: fakePayload(t, l), Cached: true}); disp != CompleteMerged {
 		t.Fatalf("cached merge = %v (%v)", disp, err)
@@ -727,7 +737,7 @@ func TestCoordinatorStaleCompletionsAreUnknown(t *testing.T) {
 	before := startCell(context.Background(), prev, 7, "nt4/business/restart/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return prev.Status().Pending == 1 })
 	pw, _ := prev.Register("first-life")
-	resp, _ := prev.Lease(pw.WorkerID, 1)
+	resp, _ := prev.Lease(pw.WorkerID)
 	restarted := resp.Leases[0]
 	if disp, err := prev.Complete(pw.WorkerID, api.CompleteRequest{Fingerprint: restarted.Fingerprint, Result: fakePayload(t, restarted)}); disp != CompleteMerged {
 		t.Fatalf("merge before restart = %v (%v)", disp, err)
@@ -744,7 +754,7 @@ func TestCoordinatorStaleCompletionsAreUnknown(t *testing.T) {
 
 	merged := startCell(context.Background(), co, 7, "nt4/business/stale/0", cellConfig(time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
-	resp, _ = co.Lease(w.WorkerID, 1)
+	resp, _ = co.Lease(w.WorkerID)
 	done := resp.Leases[0]
 	if disp, err := co.Complete(w.WorkerID, api.CompleteRequest{Fingerprint: done.Fingerprint, Result: fakePayload(t, done)}); disp != CompleteMerged {
 		t.Fatalf("first completion = %v (%v)", disp, err)
@@ -756,7 +766,7 @@ func TestCoordinatorStaleCompletionsAreUnknown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	abandoned := startCell(ctx, co, 7, "nt4/business/stale/1", cellConfig(2*time.Millisecond))
 	waitFor(t, "cell enqueued", func() bool { return co.Status().Pending == 1 })
-	resp, _ = co.Lease(w.WorkerID, 1)
+	resp, _ = co.Lease(w.WorkerID)
 	cancelled := resp.Leases[0]
 	cancel()
 	if o := <-abandoned; !errors.Is(o.err, context.Canceled) {

@@ -752,13 +752,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
-	var req api.LeaseRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "decoding lease request: %v", err)
-		return
-	}
-	resp, ok := s.coord.Lease(r.PathValue("id"), req.Max)
+	resp, ok := s.coord.Lease(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusGone, "unknown worker %q: re-register", r.PathValue("id"))
 		return

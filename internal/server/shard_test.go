@@ -96,7 +96,7 @@ func fleetBytes(t *testing.T, cells []campaign.Cell, baseSeed uint64, workers in
 			w, _ := co.Register("")
 			completed := 0
 			for {
-				resp, ok := co.Lease(w.WorkerID, 1)
+				resp, ok := co.Lease(w.WorkerID)
 				if !ok || resp.Draining {
 					return
 				}

@@ -12,11 +12,6 @@ type Point struct {
 	CCDFPercent float64 // % of samples >= LoMs
 }
 
-// OctaveSeries aggregates the histogram into power-of-two bins in
-// milliseconds, matching the axes of Figure 4 (0.125, 0.25, ..., 128 ms for
-// the thread plots; 1..128 ms for the DPC plots). Bins are clipped to
-// [loMs, hiMs]; samples below the first bin are folded into it and samples
-// above the last into the last, as the paper's edge bins do.
 // BandPoint is a Point augmented with the simultaneous DKW confidence band
 // around its CCDF value: with probability ≥ confidence, the true
 // P(latency ≥ LoMs) lies in [CCDFLoPercent, CCDFHiPercent] — at every bin
@@ -38,6 +33,11 @@ func (h *Histogram) OctaveBandSeries(loMs, hiMs, confidence float64) []BandPoint
 	return out
 }
 
+// OctaveSeries aggregates the histogram into power-of-two bins in
+// milliseconds, matching the axes of Figure 4 (0.125, 0.25, ..., 128 ms for
+// the thread plots; 1..128 ms for the DPC plots). Bins are clipped to
+// [loMs, hiMs]; samples below the first bin are folded into it and samples
+// above the last into the last, as the paper's edge bins do.
 func (h *Histogram) OctaveSeries(loMs, hiMs float64) []Point {
 	if h.n == 0 || loMs <= 0 || hiMs <= loMs {
 		return nil
