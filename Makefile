@@ -5,8 +5,8 @@
 # one), plus the event-heap oracle, the step-body differential test, the
 # episode-order test and the steady-state allocation tests that guard the
 # pooled substrate and the storm, and a short fuzz pass over the result
-# codec's decoders, the fleet coordinator's worker completions and the
-# server's journal replay.
+# codec's decoders, the fleet coordinator's worker completions, the
+# server's journal replay, campaign submissions and worker leases.
 
 GO ?= go
 
@@ -34,7 +34,10 @@ check: lint build test race substrate failure-paths service fleet-faults bench-h
 # tracked Markdown file that describes the current tree names a cmd/<name>
 # directory that does not exist; the change log and the planning notes at
 # the root record past and planned changes, so they may name tools that
-# are gone and are left out of the guard.
+# are gone and are left out of the guard. The deps guard fails when the
+# record binaries link net/http: nothing in them serves or fetches, and
+# when -pprof linked it, it roughly doubled their size and their time from
+# launch to first output line.
 lint:
 	@drift=$$(gofmt -l .); if [ -n "$$drift" ]; then \
 		echo "gofmt drift in:"; echo "$$drift"; exit 1; fi
@@ -47,6 +50,8 @@ lint:
 		while read -r d; do [ -d "$$d" ] || echo "$$d"; done); \
 	if [ -n "$$stale" ]; then \
 		echo "Markdown names cmd/ directories that do not exist:"; echo "$$stale"; exit 1; fi
+	@if $(GO) list -deps ./cmd/reproduce ./cmd/stormsweep | grep -qx 'net/http'; then \
+		echo "cmd/reproduce or cmd/stormsweep links net/http (see go list -deps)"; exit 1; fi
 	$(GO) vet ./...
 
 vet:
@@ -114,8 +119,9 @@ bench-harness:
 # fuzz-smoke: ten seconds of native Go fuzzing per decoder of untrusted
 # result bytes — core.DecodeResult (checkpoint files and worker
 # completions) and the histogram parser beneath it — per worker
-# completion body through Coordinator.Complete, and per journal file
-# through OpenJournal. The codec targets assert the decoder never panics
+# completion body through Coordinator.Complete, per journal file
+# through OpenJournal, per campaign submission body and per lease
+# response. The codec targets assert the decoder never panics
 # and that any input it accepts re-encodes to exactly itself; their seed
 # corpus is the codec's differential-test documents, whole, truncated and
 # with a byte flipped. The completion target asserts the coordinator never
@@ -125,7 +131,14 @@ bench-harness:
 # target asserts replay never panics or fails, replays only valid
 # campaigns with distinct IDs, that a reopen leaves the state unchanged,
 # and that finishing one campaign removes exactly that one; its seeds are
-# shaped like the journal tests' files. go test fuzzes one target per run.
+# shaped like the journal tests' files. The submission target decodes as
+# the submit handler does and asserts an accepted spec's campaign ID and
+# cell fingerprints compute and survive a marshal and re-decode; its seeds
+# are latctl's default matrix spec, an adaptive spec and the server's bad
+# request bodies. The lease target asserts Lease.Verify accepts exactly
+# the leases whose fingerprint re-derives; its seeds are a lease a
+# coordinator granted and its corruptions. go test fuzzes one target per
+# run.
 # Minimizing is off: shrinking one interesting multi-KB document took
 # longer than the whole pass, which then tried about a hundred inputs
 # instead of over a hundred thousand. A failing input is still saved under
@@ -135,6 +148,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramJSON$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompleteRequest$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpec$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzLeaseVerify$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/api/
 
 # cover: the coverage gate for the campaign runtime, the metrics registry,
 # (since fleet mode) the service wire types and the server — coordinator

@@ -61,7 +61,6 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers per campaign")
 	queue := flag.Int("queue", 16, "max campaigns admitted but not yet running (beyond it: 429)")
 	campaigns := flag.Int("campaigns", 1, "campaigns executing concurrently")
-	retryAfter := flag.Duration("retry-after", 2*time.Second, "Retry-After hint on 429 responses")
 	drain := flag.Duration("drain", time.Minute, "shutdown grace for open HTTP connections after jobs drain")
 	fleet := flag.Bool("fleet", false, "coordinator mode: lease cells to latworkd workers instead of simulating in-process")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet: reclaim a worker's leases after this long without a heartbeat")
@@ -93,7 +92,6 @@ func main() {
 		Jobs:        *jobs,
 		QueueLimit:  *queue,
 		Concurrency: *campaigns,
-		RetryAfter:  *retryAfter,
 		Store:       st,
 		Metrics:     reg,
 		Journal:     journal,

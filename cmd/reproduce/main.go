@@ -21,7 +21,7 @@
 // cells done/total with throughput and an ETA, -telemetry out.json writes
 // the final metrics snapshot (cell outcomes, checkpoint hits/misses,
 // worker utilization, per-cell wall-time distribution), and -cpuprofile /
-// -memprofile / -pprof expose the stdlib profilers. None of these affect
+// -memprofile expose the stdlib profilers. None of these affect
 // the artifacts, which stay byte-identical with telemetry on or off.
 package main
 

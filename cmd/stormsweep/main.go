@@ -47,7 +47,6 @@ func main() {
 	outdir := flag.String("outdir", "results", "artifact directory")
 	bytesFlag := flag.Int("bytes", 1460, "storm frame size in bytes")
 	gapUS := flag.Float64("gap-us", 250, "moderation gap for itr/adaptive modes, microseconds")
-	pacing := flag.Bool("pacing", false, "attach the frame pacer to every storm probe too")
 	precf := cli.AddPrecisionFlags(flag.CommandLine)
 	obs := cli.NewObs("stormsweep", flag.CommandLine)
 	cli.AddVersionFlag("stormsweep", flag.CommandLine)
@@ -79,7 +78,6 @@ func main() {
 		Precision:   pol,
 		StormBytes:  *bytesFlag,
 		NICGapUS:    *gapUS,
-		FramePacing: *pacing,
 	}
 	// Checked before the frame-pacing cells, which share the sweep floor
 	// and frame size, are submitted.

@@ -4,15 +4,13 @@ package cli
 // metrics registry for the campaign runner and checkpoint store, a
 // periodic progress reporter (-progress), a final telemetry snapshot
 // (-telemetry out.json), and the stdlib profiling hooks (-cpuprofile,
-// -memprofile, -pprof). All of it is out-of-band with respect to the
+// -memprofile). All of it is out-of-band with respect to the
 // simulation: the artifacts a binary writes are byte-identical whether
 // these flags are set or not.
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // -pprof registers the profiling handlers on DefaultServeMux
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,7 +37,6 @@ type Obs struct {
 	telemetry  *string
 	cpuprofile *string
 	memprofile *string
-	pprofAddr  *string
 
 	started time.Time
 	cpuOut  *os.File
@@ -57,12 +54,11 @@ func NewObs(name string, fs *flag.FlagSet) *Obs {
 	o.telemetry = fs.String("telemetry", "", "write the final metrics snapshot as JSON to this file")
 	o.cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	o.memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-	o.pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	return o
 }
 
-// Start begins profiling: it starts the CPU profile and the pprof listener
-// if their flags were set. Call once, after flag parsing.
+// Start begins profiling: it starts the CPU profile if -cpuprofile was
+// set. Call once, after flag parsing.
 func (o *Obs) Start() error {
 	o.started = time.Now()
 	if *o.cpuprofile != "" {
@@ -75,16 +71,6 @@ func (o *Obs) Start() error {
 			return fmt.Errorf("%s: cpuprofile: %w", o.name, err)
 		}
 		o.cpuOut = f
-	}
-	if addr := *o.pprofAddr; addr != "" {
-		fmt.Fprintf(os.Stderr, "%s: pprof listening on %s\n", o.name, addr)
-		go func() {
-			// The listener lives for the process; an unusable address is
-			// reported, not fatal — profiling must never take a campaign down.
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", o.name, err)
-			}
-		}()
 	}
 	return nil
 }

@@ -11,16 +11,15 @@ import (
 )
 
 // TestBackoffExactEqualJitterSchedule: with Rand pinned to its extremes,
-// attempt n's delay is exactly [d/2, d] for d = min(Base·2ⁿ, Max).
+// attempt n's delay is exactly [d/2, d] for d = min(100ms·2ⁿ, 5s).
 func TestBackoffExactEqualJitterSchedule(t *testing.T) {
-	base, max := 100*time.Millisecond, 2*time.Second
 	wantCeil := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second,
-		2 * time.Second, // capped forever after
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond,
+		5 * time.Second, 5 * time.Second, // capped forever after
 	}
-	ceil := New("", Options{BaseDelay: base, MaxDelay: max, Rand: func() float64 { return 1 }})
-	floor := New("", Options{BaseDelay: base, MaxDelay: max, Rand: func() float64 { return 0 }})
+	ceil := New("", Options{Rand: func() float64 { return 1 }})
+	floor := New("", Options{Rand: func() float64 { return 0 }})
 	for n, want := range wantCeil {
 		if got := ceil.backoff(n, 0); got != want {
 			t.Errorf("attempt %d ceiling = %v, want %v", n, got, want)
@@ -34,7 +33,7 @@ func TestBackoffExactEqualJitterSchedule(t *testing.T) {
 // TestBackoffShiftOverflowCapsAtMax: attempt counts large enough to shift
 // the base out of range still return the cap, not zero or a negative delay.
 func TestBackoffShiftOverflowCapsAtMax(t *testing.T) {
-	c := New("", Options{BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second, Rand: func() float64 { return 1 }})
+	c := New("", Options{Rand: func() float64 { return 1 }})
 	for _, n := range []int{40, 63, 64, 200} {
 		if got := c.backoff(n, 0); got != 5*time.Second {
 			t.Errorf("attempt %d = %v, want the 5s cap", n, got)
@@ -47,7 +46,7 @@ func TestBackoffShiftOverflowCapsAtMax(t *testing.T) {
 // replaces it exactly, and a shorter one is ignored — the server hint is a
 // floor, never a discount.
 func TestBackoffRetryAfterIsAFloorAtAttemptZero(t *testing.T) {
-	c := New("", Options{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Rand: func() float64 { return 1 }})
+	c := New("", Options{Rand: func() float64 { return 1 }})
 	// Hint above the window: returned verbatim.
 	if got := c.backoff(0, 3*time.Second); got != 3*time.Second {
 		t.Errorf("backoff(0, 3s) = %v, want exactly 3s", got)
@@ -69,7 +68,7 @@ func TestBackoffRetryAfterIsAFloorAtAttemptZero(t *testing.T) {
 // TestBackoffNilRandDefaults: a zero-value Rand falls back to math/rand
 // and stays within the equal-jitter window.
 func TestBackoffNilRandDefaults(t *testing.T) {
-	c := New("", Options{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second})
+	c := New("", Options{})
 	for i := 0; i < 100; i++ {
 		if d := c.backoff(0, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
 			t.Fatalf("backoff(0,0) = %v, want within [50ms, 100ms]", d)

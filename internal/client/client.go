@@ -26,19 +26,22 @@ import (
 	"wdmlat/internal/api"
 )
 
-// Options tunes a Client. The zero value gives sane production defaults;
-// tests inject Sleep and Rand to make backoff observable and instant.
+// The retry schedule every request, watch and worker loop shares: at most
+// retries attempts per request, and attempt n waits a jittered duration
+// in [d/2, d] for d = min(baseDelay·2ⁿ, maxDelay), raised to any
+// Retry-After the server sent.
+const (
+	retries   = 8
+	baseDelay = 100 * time.Millisecond
+	maxDelay  = 5 * time.Second
+)
+
+// Options tunes a Client: the transport and the test fakes, not the retry
+// schedule above. The zero value gives the production client; tests
+// inject Sleep and Rand to make backoff observable and instant.
 type Options struct {
 	// HTTP is the underlying client (default http.DefaultClient).
 	HTTP *http.Client
-	// Retries is the maximum number of attempts per request (default 8).
-	Retries int
-	// BaseDelay seeds the exponential backoff (default 100ms); MaxDelay
-	// caps it (default 5s). Attempt n waits a jittered duration in
-	// [d/2, d] for d = min(BaseDelay·2ⁿ, MaxDelay), raised to any
-	// Retry-After the server sent.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Rand supplies jitter in [0,1) (default math/rand.Float64).
 	Rand func() float64
 	// Sleep waits between attempts (default a context-aware timer).
@@ -56,15 +59,6 @@ type Client struct {
 func New(base string, opts Options) *Client {
 	if opts.HTTP == nil {
 		opts.HTTP = http.DefaultClient
-	}
-	if opts.Retries <= 0 {
-		opts.Retries = 8
-	}
-	if opts.BaseDelay <= 0 {
-		opts.BaseDelay = 100 * time.Millisecond
-	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 5 * time.Second
 	}
 	if opts.Rand == nil {
 		opts.Rand = rand.Float64
@@ -102,14 +96,14 @@ func retryable(code int) bool {
 }
 
 // backoff returns the delay before attempt (0-based) attempt+1 on the
-// equal-jitter schedule Options describes: half of each window is fixed,
+// equal-jitter schedule above: half of each window is fixed,
 // so the delay never collapses to ~0, and half is random, so clients that
 // failed together do not retry together. Every call shares it, the fleet
 // worker loop's included.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.opts.BaseDelay << attempt
-	if d > c.opts.MaxDelay || d <= 0 { // <<-overflow guard
-		d = c.opts.MaxDelay
+	d := baseDelay << attempt
+	if d > maxDelay || d <= 0 { // <<-overflow guard
+		d = maxDelay
 	}
 	d = d/2 + time.Duration(c.opts.Rand()*float64(d/2))
 	if retryAfter > d {
@@ -141,7 +135,7 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var lastErr error
 	var retryAfter time.Duration
-	for attempt := 0; attempt < c.opts.Retries; attempt++ {
+	for attempt := 0; attempt < retries; attempt++ {
 		if attempt > 0 {
 			if err := c.opts.Sleep(ctx, c.backoff(attempt-1, retryAfter)); err != nil {
 				return nil, err
@@ -160,7 +154,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			return nil, ctx.Err()
 		}
 	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.opts.Retries, lastErr)
+	return nil, fmt.Errorf("client: giving up after %d attempts: %w", retries, lastErr)
 }
 
 func isStatusError(err error, out **StatusError) bool {
@@ -244,13 +238,18 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // Watch follows a campaign's event stream until it reaches a terminal
 // state, invoking onEvent (which may be nil) for every event exactly once.
 // A dropped connection resumes from the next unseen sequence number with
-// the same backoff policy as requests; consecutive failures beyond
-// Options.Retries abort the watch.
+// the same backoff policy as requests; a connection that delivers a new
+// event resets the failure count, so only 8 consecutive failures abort the
+// watch. Any terminal state event ends the watch, even an already
+// delivered one: a restarted server re-runs a journaled campaign under a
+// fresh log, which can end before the sequence number the watch resumes
+// from.
 func (c *Client) Watch(ctx context.Context, id string, onEvent func(api.Event)) (api.Status, error) {
 	next := 0
 	failures := 0
 	var lastErr error
-	for failures < c.opts.Retries {
+	for failures < retries {
+		delivered := next
 		terminal, err := c.streamEvents(ctx, id, &next, onEvent)
 		if terminal {
 			return c.Status(ctx, id)
@@ -263,17 +262,20 @@ func (c *Client) Watch(ctx context.Context, id string, onEvent func(api.Event)) 
 		if isStatusError(err, &se) && !retryable(se.Code) {
 			return api.Status{}, err
 		}
+		if next > delivered {
+			failures = 0
+		}
 		if err := c.opts.Sleep(ctx, c.backoff(failures, 0)); err != nil {
 			return api.Status{}, err
 		}
 		failures++
 	}
-	return api.Status{}, fmt.Errorf("client: watch gave up after %d attempts: %w", c.opts.Retries, lastErr)
+	return api.Status{}, fmt.Errorf("client: watch gave up after %d attempts: %w", retries, lastErr)
 }
 
 // streamEvents opens one events connection from *next and consumes it,
-// advancing *next past every decoded event. It reports whether a terminal
-// state event was seen.
+// delivering and advancing *next past every event not yet delivered. It
+// reports whether a terminal state event was seen.
 func (c *Client) streamEvents(ctx context.Context, id string, next *int, onEvent func(api.Event)) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/campaigns/%s/events?from=%d", c.base, id, *next), nil)
@@ -305,12 +307,11 @@ func (c *Client) streamEvents(ctx context.Context, id string, next *int, onEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return false, fmt.Errorf("client: decoding event: %w", err)
 		}
-		if ev.Seq < *next {
-			continue // replay overlap after a resume; already delivered
-		}
-		*next = ev.Seq + 1
-		if onEvent != nil {
-			onEvent(ev)
+		if ev.Seq >= *next { // a lower Seq was delivered before a resume
+			*next = ev.Seq + 1
+			if onEvent != nil {
+				onEvent(ev)
+			}
 		}
 		if ev.Type == api.EventState && api.TerminalState(ev.State) {
 			return true, nil

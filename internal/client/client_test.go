@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,14 +18,11 @@ import (
 
 // testClient returns a client whose sleeps are recorded instead of slept
 // and whose jitter is pinned to its maximum (Rand()==1 → delay exactly d).
-func testClient(base string, retries int) (*Client, *[]time.Duration) {
+func testClient(base string) (*Client, *[]time.Duration) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	c := New(base, Options{
-		Retries:   retries,
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  2 * time.Second,
-		Rand:      func() float64 { return 1 },
+		Rand: func() float64 { return 1 },
 		Sleep: func(_ context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)
@@ -50,7 +48,7 @@ func TestSubmitRetries429HonoringRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(srv.URL, 5)
+	c, slept := testClient(srv.URL)
 	st, err := c.Submit(context.Background(), &api.CampaignSpec{})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -97,7 +95,7 @@ func TestRetryOn500AndConnectionReset(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(srv.URL, 5)
+	c, slept := testClient(srv.URL)
 	st, err := c.Status(context.Background(), "ok")
 	if err != nil {
 		t.Fatalf("status: %v", err)
@@ -120,7 +118,7 @@ func TestBackoffGrowsExponentiallyAndCaps(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(srv.URL, 8)
+	c, slept := testClient(srv.URL)
 	_, err := c.Status(context.Background(), "x")
 	if err == nil {
 		t.Fatal("want exhaustion error")
@@ -129,10 +127,11 @@ func TestBackoffGrowsExponentiallyAndCaps(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("want wrapped 503 StatusError, got %v", err)
 	}
-	// Rand pinned to 1 → delay n is exactly min(base·2ⁿ, max).
+	// Rand pinned to 1 → delay n is exactly min(100ms·2ⁿ, 5s), and the 8
+	// attempts sleep 7 times.
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond, 5 * time.Second,
 	}
 	if len(*slept) != len(want) {
 		t.Fatalf("want %d sleeps, got %v", len(want), *slept)
@@ -145,13 +144,11 @@ func TestBackoffGrowsExponentiallyAndCaps(t *testing.T) {
 }
 
 func TestJitterStaysWithinHalfWindow(t *testing.T) {
-	c := New("http://unused", Options{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second,
-		Rand: func() float64 { return 0 }})
+	c := New("http://unused", Options{Rand: func() float64 { return 0 }})
 	if d := c.backoff(0, 0); d != 50*time.Millisecond {
 		t.Errorf("zero jitter floor = %v, want 50ms (half the window, never ~0)", d)
 	}
-	c = New("http://unused", Options{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second,
-		Rand: func() float64 { return 0.999999 }})
+	c = New("http://unused", Options{Rand: func() float64 { return 0.999999 }})
 	if d := c.backoff(0, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
 		t.Errorf("max jitter = %v, want within (50ms, 100ms]", d)
 	}
@@ -166,7 +163,7 @@ func TestNonRetryableStatusFailsFast(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(srv.URL, 5)
+	c, slept := testClient(srv.URL)
 	_, err := c.Status(context.Background(), "nope")
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
@@ -212,7 +209,7 @@ func TestWatchResumesAfterDisconnect(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, _ := testClient(srv.URL, 5)
+	c, _ := testClient(srv.URL)
 	var got []api.Event
 	st, err := c.Watch(context.Background(), "job1", func(ev api.Event) { got = append(got, ev) })
 	if err != nil {
@@ -234,12 +231,45 @@ func TestWatchResumesAfterDisconnect(t *testing.T) {
 	}
 }
 
+// TestWatchKeepsGoingWhileStreamsMakeProgress: a server that sends one new
+// event per connection and then drops it makes progress on every
+// connection, so the watch outlasts more than 8 dropped streams and
+// returns done.
+func TestWatchKeepsGoingWhileStreamsMakeProgress(t *testing.T) {
+	const total = 12
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/campaigns/job1" {
+			json.NewEncoder(w).Encode(api.Status{ID: "job1", State: api.StateDone})
+			return
+		}
+		from, _ := strconv.Atoi(r.URL.Query().Get("from"))
+		ev := api.Event{Seq: from, Type: api.EventCell}
+		if from == total-1 {
+			ev = api.Event{Seq: from, Type: api.EventState, State: api.StateDone}
+		}
+		json.NewEncoder(w).Encode(ev)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, _ := testClient(srv.URL)
+	delivered := 0
+	st, err := c.Watch(ctx, "job1", func(api.Event) { delivered++ })
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	if st.State != api.StateDone || delivered != total {
+		t.Fatalf("status %+v after %d events, want done after %d", st, delivered, total)
+	}
+}
+
 func TestWatchGivesUpAfterRepeatedFailures(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
 	}))
 	defer srv.Close()
-	c, _ := testClient(srv.URL, 3)
+	c, _ := testClient(srv.URL)
 	_, err := c.Watch(context.Background(), "x", nil)
 	if err == nil {
 		t.Fatal("want error after retries exhausted")

@@ -124,7 +124,7 @@ func scriptedCoordinator(t *testing.T, cells int, steps []leaseStep) leaseAudit 
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c, _ := testClient(ts.URL, 2)
+	c, _ := testClient(ts.URL)
 	// A huge TTL keeps the heartbeat ticker silent for the test's
 	// lifetime; PollMillis 1 keeps idle re-polls (recorded, not slept)
 	// instant.
@@ -306,7 +306,7 @@ func TestWorkerAnswersLeaseFromCheckpointStore(t *testing.T) {
 	defer ts.Close()
 
 	var executions atomic.Int32
-	c, _ := testClient(ts.URL, 3)
+	c, _ := testClient(ts.URL)
 	err = c.RunWorker(context.Background(), WorkerOptions{
 		Store: st,
 		Execute: func(cfg core.RunConfig) *core.Result {
@@ -349,7 +349,7 @@ func TestWorkerPopulatesStoreOnMiss(t *testing.T) {
 	defer ts.Close()
 
 	var executions atomic.Int32
-	c, _ := testClient(ts.URL, 3)
+	c, _ := testClient(ts.URL)
 	err = c.RunWorker(context.Background(), WorkerOptions{
 		Store: st,
 		Execute: func(cfg core.RunConfig) *core.Result {
@@ -413,7 +413,7 @@ func TestRunWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c, _ := testClient(ts.URL, 2)
+	c, _ := testClient(ts.URL)
 	err := c.RunWorker(context.Background(), WorkerOptions{
 		Execute: func(cfg core.RunConfig) *core.Result { return workerFakeResult(cfg) },
 	})
@@ -466,7 +466,7 @@ func TestRunWorkerDropsGoneCompletion(t *testing.T) {
 	defer ts.Close()
 
 	var cellErrs []error
-	c, _ := testClient(ts.URL, 2)
+	c, _ := testClient(ts.URL)
 	err := c.RunWorker(context.Background(), WorkerOptions{
 		Execute: workerFakeResult,
 		OnCell: func(_ string, err error) {

@@ -7,54 +7,19 @@ import (
 	"wdmlat/internal/workload"
 )
 
-// Criterion is the deterministic livelock/saturation test a probe's merged
-// result is judged by. A probe saturates when any of three signals fires:
-//
-//   - drops: the ring overflows more than MaxDropFrac of offered packets —
-//     the driver demonstrably cannot keep up;
-//   - cpu: the CPU-available fraction (cycles not spent in ISRs, DPCs,
-//     overhead episodes, context switches or measured threads) falls below
-//     MinCPUAvail — the receive-livelock regime of Horst et al., where the
-//     system still delivers packets but has no cycles left for any
-//     application;
-//   - backlog: the sampled ring occupancy trends upward across the run —
-//     late-window mean at least GrowthFloor packets AND at least
-//     GrowthFactor times the early-window mean — the queue is growing
-//     without bound even though drops have not started yet.
-//
-// Every input is pooled deterministically by the campaign layer, so the
-// verdict is a pure function of (config, seed) — the property the frontier
-// byte-identity tests pin.
-type Criterion struct {
-	// MaxDropFrac is the tolerated ring-overflow fraction (default 0.01).
-	MaxDropFrac float64
-	// MinCPUAvail is the minimum CPU-available fraction (default 0.10).
-	MinCPUAvail float64
-	// GrowthFactor is the late/early backlog ratio that counts as growth
-	// (default 4).
-	GrowthFactor float64
-	// GrowthFloor is the minimum late-window mean occupancy, in packets,
-	// for the growth signal to fire (default 96 — ¾ of the 128-slot ring);
-	// small absolute wobbles can never trip it.
-	GrowthFloor float64
-}
-
-// Normalized returns the criterion with documented defaults filled in.
-func (c Criterion) Normalized() Criterion {
-	if c.MaxDropFrac == 0 {
-		c.MaxDropFrac = 0.01
-	}
-	if c.MinCPUAvail == 0 {
-		c.MinCPUAvail = 0.10
-	}
-	if c.GrowthFactor == 0 {
-		c.GrowthFactor = 4
-	}
-	if c.GrowthFloor == 0 {
-		c.GrowthFloor = 96
-	}
-	return c
-}
+// The saturation thresholds Evaluate judges a probe against.
+const (
+	// maxDropFrac is the tolerated ring-overflow fraction.
+	maxDropFrac = 0.01
+	// minCPUAvail is the minimum CPU-available fraction.
+	minCPUAvail = 0.10
+	// growthFactor is the late/early backlog ratio that counts as growth.
+	growthFactor = 4
+	// growthFloor is the minimum late-window mean occupancy, in packets,
+	// for the growth signal to fire (¾ of the 128-slot ring), so small
+	// absolute wobbles can never trip it.
+	growthFloor = 96
+)
 
 // Verdict is one probe's evaluation: the boolean that steers the sweep
 // plus the measured signals, kept for the frontier tables.
@@ -82,10 +47,25 @@ func (v Verdict) String() string {
 		state, v.DropFrac, v.CPUAvail, v.BacklogEarly, v.BacklogLate)
 }
 
-// Evaluate judges one merged storm result. It panics if the result carries
-// no storm stats (the probe was misconfigured, not borderline).
-func (c Criterion) Evaluate(res *core.Result) Verdict {
-	c = c.Normalized()
+// Evaluate is the deterministic livelock/saturation test a probe's merged
+// result is judged by. A probe saturates when any of three signals fires:
+//
+//   - drops: the ring overflows more than 1% of offered packets — the
+//     driver demonstrably cannot keep up;
+//   - cpu: the CPU-available fraction (cycles not spent in ISRs, DPCs,
+//     overhead episodes, context switches or measured threads) falls below
+//     10% — the receive-livelock regime of Horst et al., where the system
+//     still delivers packets but has no cycles left for any application;
+//   - backlog: the sampled ring occupancy trends upward across the run —
+//     late-window mean at least 96 packets AND at least 4 times the
+//     early-window mean — the queue is growing without bound even though
+//     drops have not started yet.
+//
+// Every input is pooled deterministically by the campaign layer, so the
+// verdict is a pure function of (config, seed) — the property the frontier
+// byte-identity tests pin. Evaluate panics if the result carries no storm
+// stats (the probe was misconfigured, not borderline).
+func Evaluate(res *core.Result) Verdict {
 	if res.Storm == nil {
 		panic("frontier: evaluating a result with no storm stats")
 	}
@@ -99,13 +79,13 @@ func (c Criterion) Evaluate(res *core.Result) Verdict {
 	}
 	v.BacklogEarly, v.BacklogLate = backlogWindows(res.Storm.Backlog)
 
-	if v.DropFrac > c.MaxDropFrac {
+	if v.DropFrac > maxDropFrac {
 		v.Reasons = append(v.Reasons, "drops")
 	}
-	if v.CPUAvail < c.MinCPUAvail {
+	if v.CPUAvail < minCPUAvail {
 		v.Reasons = append(v.Reasons, "cpu")
 	}
-	if v.BacklogLate >= c.GrowthFloor && v.BacklogLate >= c.GrowthFactor*maxf(1, v.BacklogEarly) {
+	if v.BacklogLate >= growthFloor && v.BacklogLate >= growthFactor*max(1, v.BacklogEarly) {
 		v.Reasons = append(v.Reasons, "backlog")
 	}
 	v.Saturated = len(v.Reasons) > 0
@@ -150,11 +130,4 @@ func backlogWindows(samples []workload.BacklogSample) (early, late float64) {
 		nseg++
 	}
 	return early / nseg, late / nseg
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

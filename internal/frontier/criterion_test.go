@@ -46,7 +46,7 @@ func ramp(n, lo, hi int) []workload.BacklogSample {
 }
 
 func TestCriterionSustainable(t *testing.T) {
-	v := Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, flat(40, 3)))
+	v := Evaluate(stormResult(100_000, 0, 0.5, flat(40, 3)))
 	if v.Saturated {
 		t.Fatalf("clean run judged saturated: %v", v)
 	}
@@ -56,7 +56,7 @@ func TestCriterionSustainable(t *testing.T) {
 }
 
 func TestCriterionDropSignal(t *testing.T) {
-	v := Criterion{}.Evaluate(stormResult(100_000, 5_000, 0.5, flat(40, 3)))
+	v := Evaluate(stormResult(100_000, 5_000, 0.5, flat(40, 3)))
 	if !v.Saturated || !reflect.DeepEqual(v.Reasons, []string{"drops"}) {
 		t.Fatalf("5%% drops: %v", v)
 	}
@@ -64,14 +64,14 @@ func TestCriterionDropSignal(t *testing.T) {
 		t.Fatalf("drop frac = %v, want 0.05", v.DropFrac)
 	}
 	// Exactly at the threshold is sustainable: the criterion is strict.
-	v = Criterion{}.Evaluate(stormResult(100_000, 1_000, 0.5, flat(40, 3)))
+	v = Evaluate(stormResult(100_000, 1_000, 0.5, flat(40, 3)))
 	if v.Saturated {
-		t.Fatalf("drops exactly at MaxDropFrac judged saturated: %v", v)
+		t.Fatalf("drops exactly at 1%% judged saturated: %v", v)
 	}
 }
 
 func TestCriterionCPUSignal(t *testing.T) {
-	v := Criterion{}.Evaluate(stormResult(100_000, 0, 0.95, flat(40, 3)))
+	v := Evaluate(stormResult(100_000, 0, 0.95, flat(40, 3)))
 	if !v.Saturated || !reflect.DeepEqual(v.Reasons, []string{"cpu"}) {
 		t.Fatalf("5%% cpu available: %v", v)
 	}
@@ -82,17 +82,17 @@ func TestCriterionCPUSignal(t *testing.T) {
 
 func TestCriterionBacklogGrowthSignal(t *testing.T) {
 	// Early quarter ~5, late quarter ~120: floor and factor both satisfied.
-	v := Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, ramp(40, 0, 128)))
+	v := Evaluate(stormResult(100_000, 0, 0.5, ramp(40, 0, 128)))
 	if !v.Saturated || !reflect.DeepEqual(v.Reasons, []string{"backlog"}) {
 		t.Fatalf("growing backlog: %v", v)
 	}
 	// High but flat occupancy must NOT fire: no growth, just a busy ring.
-	v = Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, flat(40, 120)))
+	v = Evaluate(stormResult(100_000, 0, 0.5, flat(40, 120)))
 	if v.Saturated {
 		t.Fatalf("flat 120-occupancy judged saturated: %v", v)
 	}
 	// Growth below the floor must not fire (2 -> 20 packets).
-	v = Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, ramp(40, 2, 20)))
+	v = Evaluate(stormResult(100_000, 0, 0.5, ramp(40, 2, 20)))
 	if v.Saturated {
 		t.Fatalf("sub-floor growth judged saturated: %v", v)
 	}
@@ -102,7 +102,7 @@ func TestCriterionMergedTrajectorySegments(t *testing.T) {
 	// Two concatenated replicas (time resets between them), each growing:
 	// the splitter must see two segments and still fire.
 	merged := append(ramp(40, 0, 128), ramp(40, 0, 128)...)
-	v := Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, merged))
+	v := Evaluate(stormResult(100_000, 0, 0.5, merged))
 	if !v.Saturated || !reflect.DeepEqual(v.Reasons, []string{"backlog"}) {
 		t.Fatalf("merged growing replicas: %v", v)
 	}
@@ -111,21 +111,21 @@ func TestCriterionMergedTrajectorySegments(t *testing.T) {
 	// below the 96 floor — growth in a minority of replicas is suspicious
 	// but not saturation.
 	diluted := append(ramp(40, 0, 128), flat(120, 0)...)
-	v = Criterion{}.Evaluate(stormResult(100_000, 0, 0.5, diluted))
+	v = Evaluate(stormResult(100_000, 0, 0.5, diluted))
 	if v.Saturated {
 		t.Fatalf("one growing replica among idle ones judged saturated: %v", v)
 	}
 }
 
 func TestCriterionMultipleReasonsStableOrder(t *testing.T) {
-	v := Criterion{}.Evaluate(stormResult(100_000, 50_000, 0.95, ramp(40, 0, 128)))
+	v := Evaluate(stormResult(100_000, 50_000, 0.95, ramp(40, 0, 128)))
 	if !reflect.DeepEqual(v.Reasons, []string{"drops", "cpu", "backlog"}) {
 		t.Fatalf("reasons = %v, want stable [drops cpu backlog]", v.Reasons)
 	}
 }
 
 func TestCriterionEmptyBacklogAndZeroOffered(t *testing.T) {
-	v := Criterion{}.Evaluate(stormResult(0, 0, 0.5, nil))
+	v := Evaluate(stormResult(0, 0, 0.5, nil))
 	if v.Saturated {
 		t.Fatalf("empty run judged saturated: %v", v)
 	}
@@ -140,18 +140,43 @@ func TestCriterionPanicsWithoutStormStats(t *testing.T) {
 			t.Fatal("Evaluate without storm stats should panic")
 		}
 	}()
-	Criterion{}.Evaluate(&core.Result{})
+	Evaluate(&core.Result{})
 }
 
-func TestCriterionNormalizedDefaults(t *testing.T) {
-	c := Criterion{}.Normalized()
-	want := Criterion{MaxDropFrac: 0.01, MinCPUAvail: 0.10, GrowthFactor: 4, GrowthFloor: 96}
-	if c != want {
-		t.Fatalf("defaults = %+v, want %+v", c, want)
+// steps builds a 40-sample trajectory whose early quarter sits at early
+// packets and whose late quarter sits at late packets.
+func steps(early, late int) []workload.BacklogSample {
+	out := flat(40, early)
+	for i := 20; i < 40; i++ {
+		out[i].Pending = late
 	}
-	// Explicit values survive normalization.
-	custom := Criterion{MaxDropFrac: 0.5, MinCPUAvail: 0.01, GrowthFactor: 2, GrowthFloor: 10}
-	if custom.Normalized() != custom {
-		t.Fatal("explicit criterion altered by Normalized")
+	return out
+}
+
+// TestCriterionNormalizedDefaults pins each of Evaluate's four thresholds
+// at its boundary: more than 1% drops, less than 10% CPU available, and a
+// late backlog of at least 96 packets and at least 4x the early one.
+func TestCriterionNormalizedDefaults(t *testing.T) {
+	const observed = 1 << 30
+	// 1 - 966367641/2^30 is just above 0.10; one more busy cycle is below.
+	const busyAt10 = 966367641
+	for _, tc := range []struct {
+		name string
+		res  *core.Result
+		want []string
+	}{
+		{"drops at 1%", stormResult(100_000, 1_000, 0.5, flat(40, 3)), nil},
+		{"drops past 1%", stormResult(100_000, 1_001, 0.5, flat(40, 3)), []string{"drops"}},
+		{"cpu at 10%", stormResult(100_000, 0, busyAt10/float64(observed), flat(40, 3)), nil},
+		{"cpu under 10%", stormResult(100_000, 0, (busyAt10+1)/float64(observed), flat(40, 3)), []string{"cpu"}},
+		{"backlog under the floor", stormResult(100_000, 0, 0.5, steps(0, 95)), nil},
+		{"backlog at the floor", stormResult(100_000, 0, 0.5, steps(0, 96)), []string{"backlog"}},
+		{"backlog under 4x", stormResult(100_000, 0, 0.5, steps(30, 119)), nil},
+		{"backlog at 4x", stormResult(100_000, 0, 0.5, steps(30, 120)), []string{"backlog"}},
+	} {
+		v := Evaluate(tc.res)
+		if v.Saturated != (tc.want != nil) || !reflect.DeepEqual(v.Reasons, tc.want) {
+			t.Errorf("%s: %v, want reasons %v", tc.name, v, tc.want)
+		}
 	}
 }

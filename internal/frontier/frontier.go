@@ -44,7 +44,8 @@ const (
 	MetricCensoredTracks = "frontier_censored_tracks"
 )
 
-// Options configures a sweep.
+// Options configures a sweep. The grid ascent's ×2 step and Evaluate's
+// saturation thresholds are constants.
 type Options struct {
 	// OSes are the personas to sweep (default NT4 and Win98).
 	OSes []ospersona.OS
@@ -53,8 +54,6 @@ type Options struct {
 	// MinPPS / MaxPPS bound the offered-rate range (defaults 4096 and
 	// 262144, the storm lattice ceiling). MinPPS must be >= 1.
 	MinPPS, MaxPPS float64
-	// GridFactor is the geometric ascent ratio (default 2).
-	GridFactor float64
 	// BisectSteps is how many log-space bisection probes refine the knee
 	// bracket after the grid ascent (default 3).
 	BisectSteps int
@@ -71,11 +70,6 @@ type Options struct {
 	// NICGapUS is the moderation spacing for the throttled modes
 	// (default 250 µs).
 	NICGapUS float64
-	// FramePacing attaches the display frame pacer to every probe, so the
-	// frontier also reports missed-frame distributions along the load axis.
-	FramePacing bool
-	// Criterion is the saturation test (zero value = documented defaults).
-	Criterion Criterion
 	// Metrics, if non-nil, receives the frontier_* instruments. Telemetry
 	// is out-of-band: results are byte-identical with or without it.
 	Metrics *metrics.Registry
@@ -94,9 +88,6 @@ func (o Options) normalized() Options {
 	if o.MaxPPS <= 0 {
 		o.MaxPPS = 262144
 	}
-	if o.GridFactor <= 1 {
-		o.GridFactor = 2
-	}
 	if o.BisectSteps == 0 {
 		o.BisectSteps = 3
 	}
@@ -106,7 +97,6 @@ func (o Options) normalized() Options {
 	if o.Runs <= 0 {
 		o.Runs = 3
 	}
-	o.Criterion = o.Criterion.Normalized()
 	return o
 }
 
@@ -192,10 +182,10 @@ func Run(r *campaign.Runner, opts Options) ([]Frontier, error) {
 		return nil, err
 	}
 	o := opts.normalized()
-	probesMet := counter(o.Metrics, MetricProbes)
-	satMet := counter(o.Metrics, MetricSaturatedProbes)
-	kneesMet := counter(o.Metrics, MetricKnees)
-	censMet := counter(o.Metrics, MetricCensoredTracks)
+	probesMet := o.Metrics.Counter(MetricProbes)
+	satMet := o.Metrics.Counter(MetricSaturatedProbes)
+	kneesMet := o.Metrics.Counter(MetricKnees)
+	censMet := o.Metrics.Counter(MetricCensoredTracks)
 
 	type slot struct {
 		f   Frontier
@@ -252,7 +242,6 @@ func sweepTrack(r *campaign.Runner, o Options, os ospersona.OS, mode hw.Moderati
 			StormBytes:    o.StormBytes,
 			NICModeration: mode,
 			NICGapUS:      o.NICGapUS,
-			FramePacing:   o.FramePacing,
 			Duration:      o.Duration,
 		}
 		key := rateKey(os, mode, pps)
@@ -268,7 +257,7 @@ func sweepTrack(r *campaign.Runner, o Options, os ospersona.OS, mode hw.Moderati
 		if err != nil {
 			return Probe{}, err
 		}
-		p := Probe{PPS: pps, Verdict: o.Criterion.Evaluate(res), Result: res, Adaptive: ad}
+		p := Probe{PPS: pps, Verdict: Evaluate(res), Result: res, Adaptive: ad}
 		probesMet.Inc()
 		if p.Verdict.Saturated {
 			satMet.Inc()
@@ -278,8 +267,8 @@ func sweepTrack(r *campaign.Runner, o Options, os ospersona.OS, mode hw.Moderati
 		return p, nil
 	}
 
-	// Geometric ascent: bracket the knee between the last sustainable rate
-	// (lo) and the first saturated one (hi).
+	// Geometric ascent by doubling: bracket the knee between the last
+	// sustainable rate (lo) and the first saturated one (hi).
 	var lo, hi float64
 	pps := math.Floor(o.MinPPS)
 	for {
@@ -295,7 +284,7 @@ func sweepTrack(r *campaign.Runner, o Options, os ospersona.OS, mode hw.Moderati
 		if pps >= o.MaxPPS {
 			break
 		}
-		pps = math.Floor(pps * o.GridFactor)
+		pps = math.Floor(pps * 2)
 		if pps > o.MaxPPS {
 			pps = math.Floor(o.MaxPPS)
 		}
@@ -331,13 +320,4 @@ func sweepTrack(r *campaign.Runner, o Options, os ospersona.OS, mode hw.Moderati
 
 	sort.Slice(f.Probes, func(i, j int) bool { return f.Probes[i].PPS < f.Probes[j].PPS })
 	return f, nil
-}
-
-// counter resolves a named counter, or a nil handle (whose methods are
-// nil-safe no-ops) when reg is nil.
-func counter(reg *metrics.Registry, name string) *metrics.Counter {
-	if reg == nil {
-		return nil
-	}
-	return reg.Counter(name)
 }

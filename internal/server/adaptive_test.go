@@ -200,14 +200,15 @@ func TestFleetAdaptiveByteIdenticalToLocalRun(t *testing.T) {
 }
 
 func TestAdaptiveAdmissionBound(t *testing.T) {
-	srv := New(Options{MaxCells: 8, Execute: adaptiveExec})
+	srv := New(Options{Execute: adaptiveExec})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// 3 cells x MaxRuns 16 = 48 worst-case replicas > 8; and 4 cells x
-	// MaxRuns 2^62, whose product wraps to 0 in int arithmetic.
+	// 3 cells x MaxRuns 1366 = 4098 worst-case replicas > 4096; and 4
+	// cells x MaxRuns 2^62, whose product wraps to 0 in int arithmetic.
 	wide := adaptiveSpec()
+	wide.Precision.MaxRuns = maxCells/len(wide.Cells) + 1
 	huge := adaptiveSpec()
 	huge.Cells = append(huge.Cells, api.CellSpec{Key: "win98/games/adp", Config: core.RunConfig{OS: ospersona.Win98}})
 	huge.Precision.MaxRuns = 1 << 62

@@ -72,7 +72,8 @@ const (
 	MetricCampaignWall = "server_campaign_wall_time"  // histogram: per-job wall time
 )
 
-// Options configures a Server.
+// Options configures a Server. The 4096-cell cap on a campaign (maxCells)
+// and the 2 s Retry-After hint of a 429 (retryAfter) are constants.
 type Options struct {
 	// Jobs is the per-campaign worker-pool width (campaign.Options.Jobs);
 	// <= 0 means GOMAXPROCS.
@@ -85,11 +86,6 @@ type Options struct {
 	// the measurement host's load — the thing the paper says perturbs
 	// latency — predictable.
 	Concurrency int
-	// MaxCells bounds the cells of one campaign (admission-time 400, so a
-	// huge spec cannot wedge an executor slot for hours). Default 4096.
-	MaxCells int
-	// RetryAfter is the hint returned with 429 responses. Default 2s.
-	RetryAfter time.Duration
 	// Store, if non-nil, is the durable content-addressed cell cache
 	// (campaign.Options.Store): executed cells are checkpointed under
 	// their fingerprints and replayed on later submissions, including
@@ -210,12 +206,6 @@ func New(opts Options) *Server {
 	}
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 1
-	}
-	if opts.MaxCells <= 0 {
-		opts.MaxCells = 4096
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 2 * time.Second
 	}
 	reg := opts.Metrics
 	opts.Journal.Instrument(reg)
@@ -518,9 +508,16 @@ var errCancelRequested = errors.New("cancelled by request")
 
 // --- HTTP handlers ---------------------------------------------------------
 
-// maxSpecBytes bounds the submission body; a full 4096-cell matrix spec is
-// well under 4 MiB.
-const maxSpecBytes = 8 << 20
+const (
+	// maxCells bounds the cells of one campaign, so a huge spec cannot
+	// wedge an executor slot for hours.
+	maxCells = 4096
+	// maxSpecBytes bounds the submission body; a full maxCells matrix spec
+	// is well under 4 MiB.
+	maxSpecBytes = 8 << 20
+	// retryAfter is the Retry-After hint, in seconds, a 429 carries.
+	retryAfter = "2"
+)
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -545,18 +542,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(spec.Cells) > s.opts.MaxCells {
-		writeError(w, http.StatusBadRequest, "campaign has %d cells, limit %d", len(spec.Cells), s.opts.MaxCells)
+	if len(spec.Cells) > maxCells {
+		writeError(w, http.StatusBadRequest, "campaign has %d cells, limit %d", len(spec.Cells), maxCells)
 		return
 	}
 	if spec.Precision != nil {
 		// Admission bounds the worst case: every logical cell running to
 		// the policy's replica cap. Compared by division, because the
 		// product of the cell count and a huge max_runs wraps.
-		if maxRuns := spec.Precision.Normalized().MaxRuns; maxRuns > s.opts.MaxCells/len(spec.Cells) {
+		if maxRuns := spec.Precision.Normalized().MaxRuns; maxRuns > maxCells/len(spec.Cells) {
 			writeError(w, http.StatusBadRequest,
 				"adaptive campaign could expand past %d replica cells (%d cells x max_runs %d)",
-				s.opts.MaxCells, len(spec.Cells), maxRuns)
+				maxCells, len(spec.Cells), maxRuns)
 			return
 		}
 	}
@@ -597,7 +594,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.cancel(nil)
 		s.met.depth.Dec()
 		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "admission queue full (%d campaigns queued)", s.opts.QueueLimit)
 		return
 	}
@@ -610,14 +607,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// address.
 	s.opts.Journal.Campaign(id, &spec)
 	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
@@ -669,7 +658,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's events as NDJSON from ?from= (default 0),
 // live-following until a terminal state event has been sent or the client
 // disconnects. Seq numbers are dense, so a dropped watcher resumes with
-// from=<last seen>+1 and misses nothing.
+// from=<last seen>+1 and misses nothing. A stream that starts past the end
+// of a finished job's log re-sends its terminal event and ends: a restart
+// re-runs a journaled campaign under a fresh log, which can end shorter
+// than the one a watcher already read.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
@@ -690,7 +682,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	next := from
 	for {
 		j.mu.Lock()
-		pending := append([]api.Event(nil), j.events[min(next, len(j.events)):]...)
+		start := min(next, len(j.events))
+		if start == len(j.events) && api.TerminalState(j.state) {
+			start-- // the terminal state event is the log's last
+		}
+		pending := append([]api.Event(nil), j.events[start:]...)
 		changed := j.changed
 		j.mu.Unlock()
 		terminal := false

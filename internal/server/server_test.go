@@ -2,17 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wdmlat/internal/api"
 	"wdmlat/internal/campaign/store"
+	"wdmlat/internal/client"
 	"wdmlat/internal/core"
 	"wdmlat/internal/metrics"
 	"wdmlat/internal/sim"
@@ -96,8 +99,7 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) api.Status {
 func TestOverloadReturns429WithoutBlockingAccept(t *testing.T) {
 	reg := metrics.NewRegistry()
 	exec, release := blockingExec()
-	s := New(Options{Jobs: 1, QueueLimit: 1, Concurrency: 1, Metrics: reg, Execute: exec,
-		RetryAfter: 3 * time.Second})
+	s := New(Options{Jobs: 1, QueueLimit: 1, Concurrency: 1, Metrics: reg, Execute: exec})
 	defer func() { release(); s.Close() }()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -117,8 +119,8 @@ func TestOverloadReturns429WithoutBlockingAccept(t *testing.T) {
 	if respC.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded submission: %d, want 429", respC.StatusCode)
 	}
-	if ra := respC.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := respC.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", ra)
 	}
 	respC.Body.Close()
 	if took := time.Since(start); took > 2*time.Second {
@@ -357,7 +359,7 @@ func TestCloseDrainsRunningCellsThroughStore(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s := New(Options{Execute: fakeResult, MaxCells: 4})
+	s := New(Options{Execute: fakeResult})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -383,9 +385,9 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Too many cells.
-	resp := postSpec(t, ts, specN(1, 5))
+	resp := postSpec(t, ts, specN(1, maxCells+1))
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over MaxCells: got %d, want 400", resp.StatusCode)
+		t.Errorf("over maxCells: got %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 
@@ -428,20 +430,7 @@ func TestEventsStreamCarriesFullLifecycle(t *testing.T) {
 	id := decodeStatus(t, postSpec(t, ts, specN(8, 2))).ID
 	waitState(t, ts, id, api.StateDone)
 
-	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var events []api.Event
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var ev api.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("decoding event: %v", err)
-		}
-		events = append(events, ev)
-	}
+	events := readEvents(t, ts, id, 0)
 	// queued, running, 2×cell, done — dense seqs, terminal last.
 	if len(events) != 5 {
 		t.Fatalf("got %d events, want 5: %+v", len(events), events)
@@ -460,21 +449,90 @@ func TestEventsStreamCarriesFullLifecycle(t *testing.T) {
 	}
 
 	// Resume from the middle replays only the tail.
-	resp2, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/events?from=4")
-	if err != nil {
-		t.Fatal(err)
+	if tail := readEvents(t, ts, id, 4); len(tail) != 1 || tail[0].Seq != 4 {
+		t.Errorf("from=4 returned %+v", tail)
 	}
-	defer resp2.Body.Close()
-	var tail []api.Event
-	dec = json.NewDecoder(resp2.Body)
+}
+
+// readEvents reads a campaign's whole event stream from seq from. It fails
+// the test if the stream has not ended within 5 s.
+func readEvents(t *testing.T, ts *httptest.Server, id string, from int) []api.Event {
+	t.Helper()
+	hc := &http.Client{Timeout: 5 * time.Second}
+	resp, err := hc.Get(fmt.Sprintf("%s/v1/campaigns/%s/events?from=%d", ts.URL, id, from))
+	if err != nil {
+		t.Fatalf("events from %d: %v", from, err)
+	}
+	defer resp.Body.Close()
+	var events []api.Event
+	dec := json.NewDecoder(resp.Body)
 	for dec.More() {
 		var ev api.Event
 		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
+			t.Fatalf("decoding event: %v", err)
 		}
-		tail = append(tail, ev)
+		events = append(events, ev)
 	}
-	if len(tail) != 1 || tail[0].Seq != 4 {
-		t.Errorf("from=4 returned %+v", tail)
+	return events
+}
+
+// TestEventsPastTheEndOfAFinishedJob: a stream that starts past the end
+// of a finished campaign's log answers at once with the terminal event,
+// instead of waiting on a job that never changes again.
+func TestEventsPastTheEndOfAFinishedJob(t *testing.T) {
+	s := New(Options{Jobs: 2, Execute: fakeResult})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	id := decodeStatus(t, postSpec(t, ts, specN(9, 3))).ID
+	waitState(t, ts, id, api.StateDone)
+
+	// queued, running, 3×cell, done: the done event is seq 5.
+	events := readEvents(t, ts, id, 100)
+	if len(events) != 1 || events[0].Seq != 5 || events[0].State != api.StateDone {
+		t.Fatalf("from=100 returned %+v, want the done event alone", events)
+	}
+}
+
+// TestWatchEndsWhenTheRerunLogEndsShorter: a watcher read 10 events of a
+// campaign's log before a restart, and the restarted server re-ran the
+// campaign under a fresh log that finished after 5. The resumed watch
+// returns done and delivers no event twice.
+func TestWatchEndsWhenTheRerunLogEndsShorter(t *testing.T) {
+	s := New(Options{Jobs: 2, Execute: fakeResult})
+	defer s.Close()
+	direct := httptest.NewServer(s.Handler())
+	defer direct.Close()
+	id := decodeStatus(t, postSpec(t, direct, specN(10, 2))).ID
+	waitState(t, direct, id, api.StateDone) // queued, running, 2×cell, done
+
+	// The first events connection stands in for the server before the
+	// restart: ten events of a longer log, then the stream drops.
+	var restarted atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") && restarted.CompareAndSwap(false, true) {
+			enc := json.NewEncoder(w)
+			for seq := 0; seq < 10; seq++ {
+				_ = enc.Encode(api.Event{Seq: seq, Type: api.EventCell, Key: fmt.Sprintf("cell/%d", seq), Done: seq, Total: 12})
+			}
+			return
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var seqs []int
+	st, err := client.New(ts.URL, client.Options{}).Watch(ctx, id, func(ev api.Event) { seqs = append(seqs, ev.Seq) })
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	if st.State != api.StateDone {
+		t.Errorf("watch returned %+v, want done", st)
+	}
+	if len(seqs) != 10 {
+		t.Errorf("delivered seqs %v, want 0 to 9 once each", seqs)
 	}
 }
