@@ -2,7 +2,7 @@
 # with the race detector (the campaign worker pool runs simulations
 # concurrently, one goroutine per machine with its kernel threads as step
 # bodies on it, so races are a first-class failure mode, not a theoretical
-# one), plus the event-heap oracle, the step-body differential test, the
+# one), plus the event-queue oracle, the step-body differential test, the
 # episode-order test and the steady-state allocation tests that guard the
 # pooled substrate and the storm, and a short fuzz pass over the result
 # codec's decoders, the fleet coordinator's worker completions, the
@@ -66,7 +66,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the pooled-event-heap oracle property test, the kernel's
+# substrate: the pooled event queue's oracle property tests, the kernel's
 # step-body differential test (random thread programs as step bodies
 # against the blocking CreateThread reference) and its episode-order test
 # (the per-kind episode queues against a model of one pending list) under
@@ -314,10 +314,10 @@ horde-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -json . > $(NEW)
 
-# bench-smoke: one iteration of every benchmark — asserts the benches still
-# compile and run, without the cost of a measured pass.
+# bench-smoke: one iteration of every benchmark in every package — asserts
+# the benches still compile and run, without the cost of a measured pass.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . > /dev/null
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > /dev/null
 
 # bench-compare: enforce the perf-regression policy (>10% ns/op or any
 # allocs/op growth fails) between two bench records.

@@ -333,11 +333,17 @@ func BenchmarkKernelContextSwitch(b *testing.B) {
 
 // BenchmarkEngineScheduleCancel measures the schedule/cancel churn path: a
 // rotating window of pending timers, as armed and disarmed by every device
-// model and wait timeout. Its 64 pending events are 6-8× the deepest queue
-// the simulated machines reach (8-9 in a Win98 or NT4 machine-minute, 10
-// with the latency tool attached, 7 under the NIC storm), so it prices a
-// deeper heap than any real run carries; BenchmarkMachineMinute is the
-// realistic mix.
+// model and wait timeout. Its 64 pending events are 6-8× the queue most
+// simulated machines keep (at most 8-9 right after a schedule in a Win98
+// or NT4 machine-minute, 9-10 in the business, workstation and games cells
+// with the latency tool attached, 10 under the NIC storm); only the web
+// cells' NIC bursts go deeper, to 66 within five simulated minutes and 101
+// within thirty. It is the one benchmark the sorted queue slowed: each op
+// cancels an event from the middle of the queue and re-adds it at the same
+// rank, and both shift every event that fires before it, about 32 slots
+// each on average, where the heap sifted through three levels. No
+// simulated machine makes that pattern; BenchmarkEngineQueueDepth
+// (internal/sim) and BenchmarkMachineMinute are the realistic mixes.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nop := func(sim.Time) {}

@@ -6,14 +6,13 @@ import "fmt"
 // cancellable event queue. Events scheduled for the same instant fire in
 // FIFO order of scheduling, which keeps runs deterministic.
 //
-// The queue is a 4-ary min-heap over (when, seq), see event.go. The
-// simulated machines keep only a handful of events pending — at most ten
-// in a Win98 or NT4 measurement cell — so the heap is at most two levels
-// below its root and every schedule, cancel and dispatch is a few
-// comparisons.
+// The queue is one slice kept sorted latest-first by (when, seq), see
+// event.go. The simulated machines keep 5–10 events pending and schedule
+// three events in four ahead of all of them, so a schedule is usually one
+// comparison and an append, and a dispatch takes the last element.
 //
 // The engine allocates nothing in steady state: fired and cancelled Event
-// records are recycled through a free list and the heap slice is reused,
+// records are recycled through a free list and the queue slice is reused,
 // so a long-running simulation settles into a fixed working set no matter
 // how many events it dispatches. The price of pooling is a handle
 // discipline — see Event.
@@ -26,11 +25,13 @@ type Engine struct {
 	seq    uint64
 	nfired uint64
 	free   *Event   // dead records awaiting reuse, chained through next
-	queue  []*Event // pending events, a 4-ary min-heap (event.go)
+	queue  []*Event // pending events, latest first (event.go)
 	rng    *RNG
 
-	// qbuf backs queue until it outgrows 16 events, more than any
-	// simulated machine keeps pending, so an engine costs one allocation.
+	// qbuf backs queue until it outgrows 16 events, so an engine costs one
+	// allocation. That covers every simulated machine but the web cells,
+	// whose NIC bursts keep up to about 100 events pending and grow the
+	// queue a few times per machine.
 	qbuf [16]*Event
 }
 
@@ -66,7 +67,7 @@ func (e *Engine) alloc() *Event {
 		ev.next = nil
 		return ev
 	}
-	return &Event{index: -1}
+	return &Event{}
 }
 
 // release returns a dead record to the pool. The callback is dropped so the
@@ -93,7 +94,7 @@ func (e *Engine) At(t Time, fn func(Time)) *Event {
 	ev.fn = fn
 	ev.state = statePending
 	e.seq++
-	e.heapPush(ev)
+	e.insert(ev)
 	return ev
 }
 
@@ -112,30 +113,9 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.state != statePending {
 		return false
 	}
-	e.heapRemove(int(ev.index))
+	e.remove(int(ev.index))
 	e.release(ev)
 	return true
-}
-
-// Reschedule moves a pending event to a new absolute time, preserving its
-// callback. The event must be pending: records are pooled, so a handle
-// whose event fired or was cancelled may already describe someone else's
-// event, and rescheduling it would corrupt the queue — Reschedule panics
-// instead. Re-arm by scheduling a fresh event.
-func (e *Engine) Reschedule(ev *Event, t Time) {
-	if ev == nil {
-		panic("sim: Reschedule of nil event")
-	}
-	if ev.state != statePending {
-		panic("sim: Reschedule of dead event: it already fired or was cancelled and its record may have been recycled")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling at %d before now %d", t, e.now))
-	}
-	ev.when = t
-	ev.seq = e.seq
-	e.seq++
-	e.heapFix(int(ev.index))
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
@@ -144,16 +124,19 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	e.fireMin()
+	e.fireNext()
 	return true
 }
 
-// fireMin pops the earliest pending event, moves the clock to it and runs
-// its callback. The record is recycled only after the callback returns,
-// giving handle holders that nil their reference inside the callback a
-// race-free window.
-func (e *Engine) fireMin() {
-	ev := e.heapPopMin()
+// fireNext takes the earliest pending event off the end of the queue,
+// moves the clock to it and runs its callback. The vacated slot is not
+// cleared: it can only point at a record the engine pools anyway. The
+// record is recycled only after the callback returns, giving handle
+// holders that nil their reference inside the callback a race-free window.
+func (e *Engine) fireNext() {
+	n := len(e.queue) - 1
+	ev := e.queue[n]
+	e.queue = e.queue[:n]
 	e.now = ev.when
 	e.nfired++
 	fn := ev.fn
@@ -168,8 +151,8 @@ func (e *Engine) fireMin() {
 // callbacks schedule at or before t — including at the current instant —
 // fire in this same call.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].when <= t {
-		e.fireMin()
+	for n := len(e.queue); n > 0 && e.queue[n-1].when <= t; n = len(e.queue) {
+		e.fireNext()
 	}
 	if e.now < t {
 		e.now = t

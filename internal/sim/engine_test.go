@@ -76,43 +76,6 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestEngineReschedule(t *testing.T) {
-	e := NewEngine(1)
-	var at Time
-	ev := e.At(10, func(now Time) { at = now })
-	e.Reschedule(ev, 50)
-	e.Drain(10)
-	if at != 50 {
-		t.Fatalf("fired at %d, want 50", at)
-	}
-}
-
-func TestEngineRescheduleFiredEventPanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.At(10, func(Time) {})
-	e.Drain(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a fired (recycled) event should panic")
-		}
-	}()
-	e.Reschedule(ev, 80)
-}
-
-func TestEngineCancelThenReschedulePanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.At(10, func(Time) {})
-	if !e.Cancel(ev) {
-		t.Fatal("cancel should succeed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a cancelled (recycled) event should panic")
-		}
-	}()
-	e.Reschedule(ev, 80)
-}
-
 // TestEngineFIFOUnderPooling exercises same-timestamp FIFO ordering across
 // several schedule/fire generations so that every later generation is
 // served entirely from recycled records.
@@ -160,7 +123,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	var tick func(Time)
 	tick = func(Time) { e.After(100, tick) }
 	e.After(100, tick)
-	for i := 0; i < 1000; i++ { // warm up pool and heap slice
+	for i := 0; i < 1000; i++ { // warm up pool and queue slice
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
@@ -188,7 +151,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 // one ~14 s ahead (255<<24 cycles at 300 MHz). The name dates from the
 // timing wheel that used to sit in front of the heap (DESIGN.md §7.2),
 // whose level 0, two-level cascade and overflow heap these periods hit.
-// Once the pool and heap slice are warm, neither Step nor batched RunUntil
+// Once the pool and queue slice are warm, neither Step nor batched RunUntil
 // may allocate.
 func TestWheelSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -202,7 +165,7 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 	e.After(100, tick)
 	e.After(70_000, slow)
 	e.After(255<<24+5, far)
-	for i := 0; i < 2000; i++ { // warm up pool and heap slice
+	for i := 0; i < 2000; i++ { // warm up pool and queue slice
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(2000, func() { e.Step() }); avg != 0 {

@@ -7,14 +7,16 @@ import (
 
 // Differential oracle for the engine: a deliberately naive reference
 // engine — a container/heap priority queue over (when, seq) with the same
-// observable contract (Step, RunUntil batching, Cancel, Reschedule, FIFO at
-// one instant) — is driven through identical random scripts, and the two
+// observable contract (Step, RunUntil batching, Cancel, FIFO at one
+// instant) — is driven through identical random scripts, and the two
 // dispatch traces must agree entry for entry on (time, seq, label). The
-// engine's hand-specialized 4-ary heap, index bookkeeping and record
-// pooling are invisible to the trace, which is exactly the point: they
-// must be. Two scripts share the reference: a wide one over every delay
-// scale (TestWheelMatchesReferenceEngine) and a dense one of short delays
-// in a small heap (TestEngineHeapMatchesOracle).
+// engine's sorted queue, index bookkeeping and record pooling are
+// invisible to the trace, which is exactly the point: they must be. Two
+// scripts share the reference: a wide one over every delay scale
+// (TestWheelMatchesReferenceEngine) and a dense one of short delays and
+// NIC-style bursts (TestEngineHeapMatchesOracle). Both move events by
+// cancelling them and scheduling them again, which removes from the middle
+// of the queue and re-inserts with a fresh seq.
 
 type traceEntry struct {
 	when  Time
@@ -59,8 +61,8 @@ func (q *refQueue) Pop() any {
 }
 
 // refEngine is the reference implementation. Its seq counter must advance
-// in lockstep with the engine's: both assign one seq per At and one per
-// Reschedule, in script order.
+// in lockstep with the engine's: both assign one seq per At, in script
+// order.
 type refEngine struct {
 	now Time
 	seq uint64
@@ -76,13 +78,6 @@ func (r *refEngine) at(t Time, fn func(Time)) *refItem {
 
 func (r *refEngine) cancel(it *refItem) {
 	heap.Remove(&r.q, it.index)
-}
-
-func (r *refEngine) reschedule(it *refItem, t Time) {
-	it.when = t
-	it.seq = r.seq
-	r.seq++
-	heap.Fix(&r.q, it.index)
 }
 
 func (r *refEngine) step() {
@@ -135,8 +130,8 @@ func fuzzDelta(rng *RNG) Cycles {
 var fuzzLabels = [...]string{"zero", "near", "mid16", "edge16", "mid24", "far+", "far-", "far"}
 
 // TestWheelMatchesReferenceEngine drives the engine and the reference
-// engine through the same random At/Cancel/Reschedule/Step/RunUntil
-// scripts and requires byte-identical (time, seq, label) dispatch traces.
+// engine through the same random At/Cancel/Step/RunUntil scripts, moves
+// included, and requires byte-identical (time, seq, label) dispatch traces.
 // Some events spawn a same-or-later-instant child from inside their
 // callback, so mid-batch scheduling is exercised on both sides. The name
 // dates from the timing wheel that used to sit in front of the heap
@@ -153,13 +148,14 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 		// One live record mirrors one pending event on both sides. The
 		// engine callback marks it dead; by the time any later op can pick
 		// it, the reference side has dispatched it too (traces are checked
-		// to agree), so its heap index is likewise stale on both sides.
+		// to agree), so its queue index is likewise stale on both sides.
 		type liveRec struct {
-			ev    *Event
-			it    *refItem
-			seq   uint64
-			label string
-			dead  bool
+			ev           *Event
+			it           *refItem
+			seq          uint64
+			label        string
+			dead         bool
+			engFn, refFn func(Time) // kept so a move can schedule them again
 		}
 		var live []*liveRec
 
@@ -173,7 +169,7 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 			if spawn {
 				childD = Cycles(rng.Intn(512)) // 0 allowed: same-instant child
 			}
-			rec.ev = e.At(at, func(now Time) {
+			rec.engFn = func(now Time) {
 				rec.dead = true
 				engTrace = append(engTrace, traceEntry{now, rec.seq, rec.label})
 				if spawn {
@@ -183,9 +179,8 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 					})
 					cr.seq = cr.ev.seq
 				}
-			})
-			rec.seq = rec.ev.seq
-			rec.it = ref.at(at, func(now Time) {
+			}
+			rec.refFn = func(now Time) {
 				refTrace = append(refTrace, traceEntry{now, rec.it.seq, rec.label})
 				if spawn {
 					var cit *refItem
@@ -193,7 +188,10 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 						refTrace = append(refTrace, traceEntry{cn, cit.seq, "child"})
 					})
 				}
-			})
+			}
+			rec.ev = e.At(at, rec.engFn)
+			rec.seq = rec.ev.seq
+			rec.it = ref.at(at, rec.refFn)
 			if rec.seq != rec.it.seq {
 				t.Fatalf("trial %d: seq skew at schedule: engine %d, reference %d", trial, rec.seq, rec.it.seq)
 			}
@@ -236,14 +234,18 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 					ref.cancel(rec.it)
 					rec.dead = true
 				}
-			case r < 70: // reschedule, seq reassigned on both sides
+			case r < 70: // move: cancel, then schedule again with a fresh seq on both sides
 				if rec := pickLive(); rec != nil {
 					at := e.Now().Add(fuzzDelta(rng))
-					e.Reschedule(rec.ev, at)
-					ref.reschedule(rec.it, at)
+					if !e.Cancel(rec.ev) {
+						t.Fatalf("trial %d op %d: cancel of live event failed", trial, op)
+					}
+					ref.cancel(rec.it)
+					rec.ev = e.At(at, rec.engFn)
+					rec.it = ref.at(at, rec.refFn)
 					rec.seq = rec.ev.seq
 					if rec.seq != rec.it.seq {
-						t.Fatalf("trial %d op %d: seq skew after reschedule", trial, op)
+						t.Fatalf("trial %d op %d: seq skew after move", trial, op)
 					}
 				}
 			case r < 85: // single step
@@ -280,10 +282,14 @@ func TestWheelMatchesReferenceEngine(t *testing.T) {
 
 // TestEngineHeapMatchesOracle runs a dense script against the same
 // reference engine: every delay is under 1000 cycles, so many pending
-// events tie or nearly tie in a small heap, and FIFO tie-breaking, sift
-// order and the index bookkeeping behind Cancel and Reschedule are hit far
-// more often than under the wide delay classes. Every step must dispatch
-// the same event at the same time on both sides.
+// events tie or nearly tie, and FIFO tie-breaking and the index
+// bookkeeping behind Cancel and moves are hit far more often than under
+// the wide delay classes. One op in a hundred is a NIC-style burst: a
+// callback schedules 10–49 events at a fixed spacing, as NIC.DeliverBurst
+// does, which inserts at the far end of a deep queue many times in a row
+// and ties against events already pending. Every step must dispatch the
+// same event at the same time on both sides. The name dates from the heap
+// the engine's queue once was.
 func TestEngineHeapMatchesOracle(t *testing.T) {
 	type firing struct {
 		id int
@@ -295,15 +301,29 @@ func TestEngineHeapMatchesOracle(t *testing.T) {
 		ref := &refEngine{}
 
 		type liveRec struct {
-			id   int
-			ev   *Event
-			it   *refItem
-			dead bool
+			id           int
+			ev           *Event
+			it           *refItem
+			dead         bool
+			engFn, refFn func(Time)
 		}
 		var live []*liveRec
 		nextID := 0
 		var engLast, refLast firing
 
+		// newRec makes a live record whose callbacks log its firing; the
+		// caller schedules them.
+		newRec := func() *liveRec {
+			rec := &liveRec{id: nextID}
+			nextID++
+			rec.engFn = func(now Time) {
+				rec.dead = true
+				engLast = firing{rec.id, now}
+			}
+			rec.refFn = func(now Time) { refLast = firing{rec.id, now} }
+			live = append(live, rec)
+			return rec
+		}
 		pickLive := func() *liveRec {
 			for len(live) > 0 {
 				i := rng.Intn(len(live))
@@ -327,16 +347,36 @@ func TestEngineHeapMatchesOracle(t *testing.T) {
 
 		for op := 0; op < 5000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 45: // schedule; delay 0 allowed: same-timestamp FIFO
+			case r < 44: // schedule; delay 0 allowed: same-timestamp FIFO
 				at := e.Now().Add(Cycles(rng.Intn(1000)))
-				rec := &liveRec{id: nextID}
-				nextID++
-				rec.ev = e.At(at, func(now Time) {
-					rec.dead = true
-					engLast = firing{rec.id, now}
-				})
-				rec.it = ref.at(at, func(now Time) { refLast = firing{rec.id, now} })
-				live = append(live, rec)
+				rec := newRec()
+				rec.ev = e.At(at, rec.engFn)
+				rec.it = ref.at(at, rec.refFn)
+			case r < 45: // burst; spacing 0 allowed: the whole burst at one instant
+				at := e.Now().Add(Cycles(rng.Intn(1000)))
+				n, gap := 10+rng.Intn(40), Cycles(rng.Intn(25))
+				// The engine fires first in each step, so its callback
+				// makes the burst's records and the reference's fills in
+				// their items before any op can pick one.
+				var burst []*liveRec
+				trig := newRec()
+				engFire, refFire := trig.engFn, trig.refFn
+				trig.engFn = func(now Time) {
+					engFire(now)
+					for i := 0; i < n; i++ {
+						rec := newRec()
+						rec.ev = e.At(now.Add(Cycles(i)*gap), rec.engFn)
+						burst = append(burst, rec)
+					}
+				}
+				trig.refFn = func(now Time) {
+					refFire(now)
+					for i, rec := range burst {
+						rec.it = ref.at(now.Add(Cycles(i)*gap), rec.refFn)
+					}
+				}
+				trig.ev = e.At(at, trig.engFn)
+				trig.it = ref.at(at, trig.refFn)
 			case r < 60: // cancel
 				if rec := pickLive(); rec != nil {
 					if !e.Cancel(rec.ev) {
@@ -345,11 +385,15 @@ func TestEngineHeapMatchesOracle(t *testing.T) {
 					ref.cancel(rec.it)
 					rec.dead = true
 				}
-			case r < 75: // reschedule
+			case r < 75: // move: cancel, then schedule again
 				if rec := pickLive(); rec != nil {
 					at := e.Now().Add(Cycles(rng.Intn(1000)))
-					e.Reschedule(rec.ev, at)
-					ref.reschedule(rec.it, at)
+					if !e.Cancel(rec.ev) {
+						t.Fatalf("trial %d op %d: cancel of live event %d failed", trial, op, rec.id)
+					}
+					ref.cancel(rec.it)
+					rec.ev = e.At(at, rec.engFn)
+					rec.it = ref.at(at, rec.refFn)
 				}
 			default: // step
 				if e.Pending() != ref.q.Len() {
