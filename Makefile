@@ -66,19 +66,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the pooled event queue's oracle property tests, the kernel's
-# step-body differential test (random thread programs as step bodies
-# against the blocking CreateThread reference) and its episode-order test
-# (the per-kind episode queues against a model of one pending list) under
-# -race, plus the zero-allocation tests without -race: the engine's
+# substrate: the pooled event queue's oracle property tests and the FIFO
+# queue's slice-model test (sim.Queue, every service queue of the
+# simulated machine), the kernel's step-body differential test (random
+# thread programs as step bodies against the blocking CreateThread
+# reference) and its episode-order test (the per-kind episode queues
+# against a model of one pending list) under -race, plus the
+# zero-allocation tests without -race: the engine's and the FIFO queue's
 # (AllocsPerRun is meaningless under the race detector's instrumented
 # allocator, so those tests skip themselves there and must also run
 # uninstrumented) and the interrupt storm's, which counts heap allocations
 # per offered packet in steady state.
 substrate:
-	$(GO) test -race -run 'TestWheelMatchesReferenceEngine|TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary' ./internal/sim/
+	$(GO) test -race -run 'TestWheelMatchesReferenceEngine|TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary|TestQueueMatchesSliceModel' ./internal/sim/
 	$(GO) test -race -run 'TestStepBodiesMatchBlockingReference|TestEpisodeQueuesKeepAdmissionOrder' ./internal/kernel/
-	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree' ./internal/sim/
+	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree|TestQueueSteadyStateAllocFree' ./internal/sim/
 	$(GO) test -run 'TestStormSteadyStateAllocFree' ./internal/workload/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —

@@ -1,7 +1,8 @@
 // Package causetool implements the paper's latency cause analysis tool
 // (§2.3): it patches the PIT vector of the IDT with a hook that records the
 // interrupted context (instruction pointer + code segment in the paper;
-// module + function frames here, i.e. "symbols available") and the TSC into
+// module + function frames here, read from the kernel's occupancy stack,
+// i.e. "symbols available") and the TSC into
 // a circular buffer on every clock interrupt. When the latency measurement
 // tool reports a latency above a preset threshold, the tool dumps the
 // buffer as an episode; post-mortem analysis aggregates the samples into
@@ -101,6 +102,7 @@ type Tool struct {
 	ring   []Sample
 	head   int
 	filled bool
+	frames []cpu.Frame // the kernel's frames at the last sample, reused
 
 	episodes   []Episode
 	triggered  uint64
@@ -176,10 +178,9 @@ func (t *Tool) nmiSample(now sim.Time) {
 
 // record stores one sample into the ring.
 func (t *Tool) record() {
-	c := t.k.CPU()
-	s := Sample{TSC: c.TSC(), Frame: t.interruptedFrame()}
+	s := Sample{TSC: t.k.CPU().TSC(), Frame: t.interruptedFrame()}
 	if t.opts.WalkStack {
-		st := c.Stack()
+		st := append([]cpu.Frame{}, t.frames...)
 		if len(st) > 0 {
 			st = st[:len(st)-1] // drop the sampler's own frame
 		}
@@ -197,9 +198,12 @@ func (t *Tool) record() {
 	t.samples++
 }
 
-// interruptedFrame resolves "what was executing when the clock fired".
+// interruptedFrame resolves "what was executing when the clock fired". It
+// reads the kernel's frames into t.frames, which record's stack walk
+// copies.
 func (t *Tool) interruptedFrame() cpu.Frame {
-	st := t.k.CPU().Stack()
+	t.frames = t.k.Frames(t.frames[:0])
+	st := t.frames
 	// The top frame is the clock ISR we are inside; the one below it is
 	// the interrupted context (a DPC, an overhead episode, a nested ISR).
 	if len(st) >= 2 {

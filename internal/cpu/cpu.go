@@ -1,9 +1,11 @@
 // Package cpu models the processor-visible hardware services that the
 // paper's tools depend on: the Pentium time stamp counter (read with RDTSC
-// in the paper, §2.2.5), the Interrupt Descriptor Table with hookable
-// vectors (the latency cause tool of §2.3 patches the PIT vector), and a
-// registry of "what code is executing right now" that stands in for the
-// instruction pointer + code segment samples the cause tool records.
+// in the paper, §2.2.5) and the Interrupt Descriptor Table with hookable
+// vectors (the latency cause tool of §2.3 patches the PIT vector). Its
+// Frame names the code executing at an instant, standing in for the
+// instruction pointer + code segment samples the cause tool records; the
+// kernel's occupancy stack is the registry of which frames are on the CPU
+// (kernel.Kernel.Frames).
 package cpu
 
 import (
@@ -45,14 +47,13 @@ func (f Frame) String() string {
 var IdleFrame = Frame{}
 
 // CPU is the virtual processor. It owns the time stamp counter (delegated to
-// the simulation clock), the IDT, and the current execution frame stack.
+// the simulation clock) and the IDT.
 //
 // CPU is not safe for concurrent use; the simulator is single-threaded.
 type CPU struct {
-	eng    *sim.Engine
-	freq   sim.Freq
-	idt    [NumVectors]Handler
-	frames []Frame
+	eng  *sim.Engine
+	freq sim.Freq
+	idt  [NumVectors]Handler
 	// charge is extra cycles attributed to the currently running body
 	// beyond the engine clock; it makes TSC reads inside an ISR/DPC body
 	// reflect the cycles the body has "executed" so far even though the
@@ -140,39 +141,3 @@ func (c *CPU) checkVector(vector int) {
 		panic(fmt.Sprintf("cpu: vector %d out of range", vector))
 	}
 }
-
-// PushFrame records that execution entered module/function. Every ISR, DPC,
-// overhead episode and thread body is bracketed by Push/PopFrame so that a
-// sampler (the cause tool) can observe what is on-CPU.
-func (c *CPU) PushFrame(module, function string) {
-	c.frames = append(c.frames, Frame{Module: module, Function: function})
-}
-
-// PopFrame undoes the most recent PushFrame.
-func (c *CPU) PopFrame() {
-	if len(c.frames) == 0 {
-		panic("cpu: PopFrame on empty frame stack")
-	}
-	c.frames = c.frames[:len(c.frames)-1]
-}
-
-// CurrentFrame returns the innermost executing frame, or IdleFrame when the
-// stack is empty.
-func (c *CPU) CurrentFrame() Frame {
-	if len(c.frames) == 0 {
-		return IdleFrame
-	}
-	return c.frames[len(c.frames)-1]
-}
-
-// Stack returns a copy of the whole frame stack, outermost first. The
-// "walk the stack to generate call trees" enhancement described in §6.1 of
-// the paper corresponds to sampling this instead of CurrentFrame.
-func (c *CPU) Stack() []Frame {
-	out := make([]Frame, len(c.frames))
-	copy(out, c.frames)
-	return out
-}
-
-// Depth returns the current frame stack depth.
-func (c *CPU) Depth() int { return len(c.frames) }

@@ -127,43 +127,6 @@ func TestHookStacking(t *testing.T) {
 	}
 }
 
-func TestFrameStack(t *testing.T) {
-	_, c := newCPU()
-	if c.CurrentFrame() != IdleFrame {
-		t.Fatalf("boot frame = %v", c.CurrentFrame())
-	}
-	c.PushFrame("VMM", "_mmCalcFrameBadness")
-	c.PushFrame("KMIXER", "")
-	if f := c.CurrentFrame(); f.Module != "KMIXER" {
-		t.Fatalf("current frame = %v", f)
-	}
-	if d := c.Depth(); d != 2 {
-		t.Fatalf("depth = %d", d)
-	}
-	st := c.Stack()
-	if len(st) != 2 || st[0].Module != "VMM" || st[1].Module != "KMIXER" {
-		t.Fatalf("stack = %v", st)
-	}
-	c.PopFrame()
-	if f := c.CurrentFrame(); f.Module != "VMM" || f.Function != "_mmCalcFrameBadness" {
-		t.Fatalf("after pop frame = %v", f)
-	}
-	c.PopFrame()
-	if c.CurrentFrame() != IdleFrame {
-		t.Fatal("frame stack should be empty")
-	}
-}
-
-func TestPopEmptyFrameStackPanics(t *testing.T) {
-	_, c := newCPU()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PopFrame on empty stack should panic")
-		}
-	}()
-	c.PopFrame()
-}
-
 func TestFrameString(t *testing.T) {
 	cases := []struct {
 		f    Frame
@@ -177,15 +140,5 @@ func TestFrameString(t *testing.T) {
 		if got := c.f.String(); got != c.want {
 			t.Errorf("%+v.String() = %q, want %q", c.f, got, c.want)
 		}
-	}
-}
-
-func TestStackIsACopy(t *testing.T) {
-	_, c := newCPU()
-	c.PushFrame("A", "f")
-	st := c.Stack()
-	st[0].Module = "mutated"
-	if c.CurrentFrame().Module != "A" {
-		t.Fatal("Stack() must return a copy")
 	}
 }

@@ -78,24 +78,19 @@ func TestDiskServiceAndCompletion(t *testing.T) {
 	eng := sim.NewEngine(1)
 	interrupts := 0
 	d := NewDisk(eng, LineFunc(func() { interrupts++ }), sim.Constant(1000), 10) // 10 B/cycle
-	var done []*DiskRequest
-	d.SetCompletionHandler(func(r *DiskRequest) { done = append(done, r) })
 
-	d.Submit(&DiskRequest{Bytes: 50_000, Tag: "a"})
+	d.Submit(DiskRequest{Bytes: 50_000, Tag: "a"})
 	// Service = 1000 seek + 5000 transfer = 6000.
 	eng.RunUntil(6000)
 	if interrupts != 1 {
 		t.Fatalf("interrupts = %d, want 1", interrupts)
 	}
-	req := d.CompleteTransfer()
-	if req == nil || req.Tag != "a" {
-		t.Fatalf("completion = %+v", req)
+	req, ok := d.CompleteTransfer()
+	if !ok || req.Tag != "a" {
+		t.Fatalf("completion = %+v, %v", req, ok)
 	}
-	if len(done) != 1 {
-		t.Fatal("completion handler not invoked")
-	}
-	if d.CompleteTransfer() != nil {
-		t.Fatal("second completion should be nil")
+	if _, ok := d.CompleteTransfer(); ok {
+		t.Fatal("second completion should report none pending")
 	}
 	if d.Transfers() != 1 {
 		t.Fatalf("transfers = %d", d.Transfers())
@@ -110,14 +105,14 @@ func TestDiskQueuesFIFO(t *testing.T) {
 	// Acknowledge each completion from the "ISR" as it happens.
 	prev := 0
 	for _, tag := range []string{"a", "b", "c"} {
-		d.Submit(&DiskRequest{Bytes: 10_000, Tag: tag})
+		d.Submit(DiskRequest{Bytes: 10_000, Tag: tag})
 	}
 	// Poll for completions the way a driver ISR would.
 	var poll func(sim.Time)
 	poll = func(sim.Time) {
 		if asserts > prev {
 			prev = asserts
-			if req := d.CompleteTransfer(); req != nil {
+			if req, ok := d.CompleteTransfer(); ok {
 				order = append(order, req.Tag)
 			}
 		}
@@ -139,8 +134,8 @@ func TestDiskHoldsUntilAcknowledged(t *testing.T) {
 	eng := sim.NewEngine(1)
 	asserts := 0
 	d := NewDisk(eng, LineFunc(func() { asserts++ }), sim.Constant(100), 100)
-	d.Submit(&DiskRequest{Bytes: 1000, Tag: 1})
-	d.Submit(&DiskRequest{Bytes: 1000, Tag: 2})
+	d.Submit(DiskRequest{Bytes: 1000, Tag: 1})
+	d.Submit(DiskRequest{Bytes: 1000, Tag: 2})
 	eng.RunUntil(50_000)
 	// Without acknowledgment, only the first transfer completes.
 	if asserts != 1 {
@@ -262,7 +257,7 @@ func TestDiskPIOShiftsTransferToCPU(t *testing.T) {
 	fired := 0
 	d := NewDisk(eng, LineFunc(func() { fired++ }), sim.Constant(1000), 10)
 	d.PIO = true
-	req := &DiskRequest{Bytes: 50_000}
+	req := DiskRequest{Bytes: 50_000}
 	d.Submit(req)
 	// PIO: device signals after the seek only (1000 cycles), leaving the
 	// 5000-cycle transfer to the CPU.

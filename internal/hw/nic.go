@@ -3,9 +3,10 @@ package hw
 import "wdmlat/internal/sim"
 
 // NIC models the EtherExpress Pro 100 of the test system: received packets
-// accumulate in a ring and the card asserts its interrupt line under a
-// configurable interrupt-moderation mode. The web-browsing workload
-// delivers download bursts through it (§3.1.3); the interrupt-storm
+// accumulate in a ring, a FIFO of each packet's size and arrival time that
+// drops what arrives while it is full, and the card asserts its interrupt
+// line under a configurable interrupt-moderation mode. The web-browsing
+// workload delivers download bursts through it (§3.1.3); the interrupt-storm
 // frontier drives it with a sustained packet stream and sweeps the
 // moderation axis.
 //
@@ -30,17 +31,12 @@ type NIC struct {
 	// LAN was 100 Mbit to over-stress the system).
 	InterPacketGap sim.Cycles
 
-	// ring holds pending packet sizes and arr the matching arrival times;
-	// head indexes the first undrained entry. Draining advances head
-	// instead of re-slicing the base away, which would discard capacity
-	// and make every burst reallocate; receive compacts the live window
-	// back to the base once the backing slice fills, so a sustained storm
-	// (which never lets the ring empty) cannot grow the backing without
-	// bound.
-	ring      []int
-	arr       []sim.Time
+	// ring holds at most ringCap packets, so its backing stays bounded
+	// however long a storm keeps it from emptying. sizes and waits are the
+	// recycled storage Drain and DrainTimed return.
+	ring      sim.Queue[rxPacket]
+	sizes     []int
 	waits     []sim.Cycles
-	head      int
 	delivered uint64
 	dropped   uint64
 	ringCap   int
@@ -57,6 +53,12 @@ type NIC struct {
 	asserts      uint64
 	throttle     *sim.Event
 	throttleFn   func(sim.Time)
+}
+
+// rxPacket is one received packet waiting in the ring.
+type rxPacket struct {
+	bytes int
+	at    sim.Time // arrival
 }
 
 // Moderation selects the card's interrupt-moderation strategy.
@@ -99,7 +101,7 @@ func NewNIC(eng *sim.Engine, line IRQLine, ringCap int, gap sim.Cycles) *NIC {
 	n := &NIC{eng: eng, line: line, ringCap: ringCap, InterPacketGap: gap}
 	n.throttleFn = func(sim.Time) {
 		n.throttle = nil
-		if len(n.ring)-n.head > 0 {
+		if n.ring.Len() > 0 {
 			n.doAssert()
 		}
 	}
@@ -112,7 +114,7 @@ func NewNIC(eng *sim.Engine, line IRQLine, ringCap int, gap sim.Cycles) *NIC {
 // traffic flows — the mode is part of the card's identity, not a runtime
 // control register.
 func (n *NIC) SetModeration(mode Moderation, gap, gapMin, gapMax sim.Cycles) {
-	if n.everAsserted || len(n.ring) > 0 {
+	if n.everAsserted || n.ring.Len() > 0 {
 		panic("hw: NIC moderation changed after traffic")
 	}
 	switch mode {
@@ -165,23 +167,11 @@ func (n *NIC) Deliver(bytes int) {
 }
 
 func (n *NIC) receive(bytes int) {
-	if len(n.ring)-n.head >= n.ringCap {
+	if n.ring.Len() >= n.ringCap {
 		n.dropped++
 		return
 	}
-	if len(n.ring) >= n.ringCap && n.head > 0 {
-		// The backing slice is full but the live window is not: compact it
-		// back to the base instead of letting append grow the backing. A
-		// sustained storm never fully drains the ring, so without this the
-		// backing grows by every accepted packet for the whole run. (Drain
-		// results are documented as valid only until the next receive, so
-		// moving the live window here is within contract.)
-		n.ring = n.ring[:copy(n.ring, n.ring[n.head:])]
-		n.arr = n.arr[:copy(n.arr, n.arr[n.head:])]
-		n.head = 0
-	}
-	n.ring = append(n.ring, bytes)
-	n.arr = append(n.arr, n.eng.Now())
+	n.ring.PushBack(rxPacket{bytes: bytes, at: n.eng.Now()})
 	n.sinceAssert++
 	if !n.raised {
 		n.tryAssert()
@@ -239,8 +229,8 @@ func (n *NIC) adapt() {
 // Drain removes up to max packets from the ring (the driver ISR/DPC calls
 // this), returning their sizes. When the ring empties the line deasserts;
 // if packets remain the card re-asserts (subject to moderation) so the
-// driver takes another pass. The returned slice aliases the ring's recycled
-// storage and is only valid until the card next receives a packet.
+// driver takes another pass. The returned slice is recycled storage, valid
+// only until the next drain.
 func (n *NIC) Drain(max int) []int {
 	pkts, _ := n.drain(max, false)
 	return pkts
@@ -248,14 +238,14 @@ func (n *NIC) Drain(max int) []int {
 
 // DrainTimed is Drain, additionally reporting each drained packet's
 // queueing delay (arrival to drain — the latency cost of interrupt
-// moderation). The waits slice aliases recycled storage exactly like the
-// packet slice.
+// moderation). The waits slice is recycled storage exactly like the packet
+// slice.
 func (n *NIC) DrainTimed(max int) ([]int, []sim.Cycles) {
 	return n.drain(max, true)
 }
 
 func (n *NIC) drain(max int, timed bool) ([]int, []sim.Cycles) {
-	avail := len(n.ring) - n.head
+	avail := n.ring.Len()
 	if max <= 0 || avail == 0 {
 		n.raised = avail > 0
 		return nil, nil
@@ -263,34 +253,31 @@ func (n *NIC) drain(max int, timed bool) ([]int, []sim.Cycles) {
 	if max > avail {
 		max = avail
 	}
-	out := n.ring[n.head : n.head+max]
-	var waits []sim.Cycles
-	if timed {
-		if cap(n.waits) < max {
-			n.waits = make([]sim.Cycles, max)
-		}
-		waits = n.waits[:max]
-		now := n.eng.Now()
-		for i, at := range n.arr[n.head : n.head+max] {
-			waits[i] = now.Sub(at)
+	sizes, waits := n.sizes[:0], n.waits[:0]
+	now := n.eng.Now()
+	for i := 0; i < max; i++ {
+		p := n.ring.PopFront()
+		sizes = append(sizes, p.bytes)
+		if timed {
+			waits = append(waits, now.Sub(p.at))
 		}
 	}
-	n.head += max
+	n.sizes, n.waits = sizes, waits
 	n.delivered += uint64(max)
-	if n.head < len(n.ring) {
+	if n.ring.Len() > 0 {
 		// More work: model a level-triggered line by re-asserting.
 		n.tryAssert()
 	} else {
-		n.ring = n.ring[:0]
-		n.arr = n.arr[:0]
-		n.head = 0
 		n.raised = false
 	}
-	return out, waits
+	if !timed {
+		waits = nil
+	}
+	return sizes, waits
 }
 
 // Pending returns the number of packets in the ring.
-func (n *NIC) Pending() int { return len(n.ring) - n.head }
+func (n *NIC) Pending() int { return n.ring.Len() }
 
 // Delivered returns packets handed to the driver; Dropped counts ring
 // overflows.

@@ -87,7 +87,7 @@ func (c *DpcContext) SetTimer(t *Timer, delay sim.Cycles, dpc *DPC) { c.k.setTim
 func (c *DpcContext) CompleteIrp(irp *IRP) { c.k.completeIrp(irp) }
 
 // QueueWorkItem schedules passive-level work on the kernel worker thread.
-func (c *DpcContext) QueueWorkItem(w *WorkItem) { c.k.QueueWorkItem(w) }
+func (c *DpcContext) QueueWorkItem(w WorkItem) { c.k.QueueWorkItem(w) }
 
 // Kernel returns the owning kernel, for instrumentation-style drivers that
 // need read-only access (e.g. the cause tool reading the current frame).
@@ -101,13 +101,9 @@ func (k *Kernel) queueDpc(d *DPC) bool {
 	d.queued = true
 	d.queuedAt = k.now()
 	if d.Importance == HighImportance {
-		// Insert at the head in place; the queue is short and this avoids
-		// reallocating a fresh backing array per high-importance insert.
-		k.dpcQ = append(k.dpcQ, nil)
-		copy(k.dpcQ[1:], k.dpcQ)
-		k.dpcQ[0] = d
+		k.dpcQ.PushFront(d)
 	} else {
-		k.dpcQ = append(k.dpcQ, d)
+		k.dpcQ.PushBack(d)
 	}
 	if k.probe.DpcQueued != nil {
 		k.probe.DpcQueued(d, d.queuedAt)
@@ -122,12 +118,7 @@ func (k *Kernel) QueueDpc(d *DPC) bool { return k.queueDpc(d) }
 
 // startDPC pops the queue head and runs it as a DISPATCH_LEVEL activity.
 func (k *Kernel) startDPC() {
-	d := k.dpcQ[0]
-	// Shift down in place rather than reslicing from the front: reslicing
-	// sheds capacity one slot per pop, so the next insert reallocates.
-	n := copy(k.dpcQ, k.dpcQ[1:])
-	k.dpcQ[n] = nil
-	k.dpcQ = k.dpcQ[:n]
+	d := k.dpcQ.PopFront()
 	d.queued = false
 	k.counters.DPCs++
 

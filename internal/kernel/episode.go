@@ -69,53 +69,19 @@ func (k *Kernel) InjectEpisode(kind EpisodeKind, duration sim.Cycles, module, fu
 		}
 		q = &k.lockQ
 	}
-	ep := k.newEpisode()
-	ep.level = kind.level()
-	ep.duration = duration
-	ep.frame = cpu.Frame{Module: module, Function: function}
-	q.push(ep)
+	q.PushBack(pendingEpisode{
+		level:    kind.level(),
+		duration: duration,
+		frame:    cpu.Frame{Module: module, Function: function},
+	})
 	k.maybeRun()
 }
 
 // PendingEpisodes returns the number of episodes waiting to start.
-func (k *Kernel) PendingEpisodes() int { return k.maskQ.len() + k.lockQ.len() }
-
-// episodeQueue is the FIFO of one kind's pending episodes. Starting an
-// episode advances head instead of re-slicing the base away; push compacts
-// the live window back to the base once the backing fills and at least half
-// of it has started, so a livelocked machine, whose scheduler-lock backlog
-// never drains, keeps a backing bounded by its peak backlog at O(1)
-// amortized cost per episode. Stale slots pin nothing: the records are
-// pooled on the kernel for its whole life.
-type episodeQueue struct {
-	q    []*pendingEpisode
-	head int
-}
-
-func (e *episodeQueue) len() int { return len(e.q) - e.head }
-
-func (e *episodeQueue) push(ep *pendingEpisode) {
-	if len(e.q) == cap(e.q) && 2*e.head >= len(e.q) {
-		e.q = e.q[:copy(e.q, e.q[e.head:])]
-		e.head = 0
-	}
-	e.q = append(e.q, ep)
-}
-
-// pop removes and returns the oldest pending episode; the queue must be
-// non-empty.
-func (e *episodeQueue) pop() *pendingEpisode {
-	ep := e.q[e.head]
-	e.head++
-	if e.head == len(e.q) {
-		e.q = e.q[:0]
-		e.head = 0
-	}
-	return ep
-}
+func (k *Kernel) PendingEpisodes() int { return k.maskQ.Len() + k.lockQ.Len() }
 
 // startEpisode pushes a pending episode onto the occupancy stack.
-func (k *Kernel) startEpisode(ep *pendingEpisode) {
+func (k *Kernel) startEpisode(ep pendingEpisode) {
 	k.counters.Episodes++
 	act := k.newActivity()
 	act.kind = actEpisode
@@ -123,6 +89,5 @@ func (k *Kernel) startEpisode(ep *pendingEpisode) {
 	act.frame = ep.frame
 	act.remaining = ep.duration
 	k.occupy(act)
-	k.releaseEpisode(ep) // the activity carries everything from here on
 	// resumeTop (dispatch loop) schedules the completion.
 }

@@ -121,11 +121,10 @@ type Kernel struct {
 
 	// CPU occupancy above thread level.
 	stack   []*activity
-	maskQ   episodeQueue      // pending MaskInterrupts episodes
-	lockQ   episodeQueue      // pending LockScheduler episodes
-	actFree []*activity       // recycled activity records
-	epFree  []*pendingEpisode // recycled pending-episode records
-	irpFree []*IRP            // recycled request packets (FreeIRP)
+	maskQ   sim.Queue[pendingEpisode] // pending MaskInterrupts episodes
+	lockQ   sim.Queue[pendingEpisode] // pending LockScheduler episodes
+	actFree []*activity               // recycled activity records
+	irpFree []*IRP                    // recycled request packets (FreeIRP)
 
 	// Interrupt state. irqList mirrors the map for iteration (Go map walks
 	// cost an iterator setup per call, and the dispatch loop polls every
@@ -136,7 +135,7 @@ type Kernel struct {
 	irqPending int
 
 	// DPC queue (FIFO; High importance inserts at front).
-	dpcQ []*DPC
+	dpcQ sim.Queue[*DPC]
 
 	// Timers, ordered by due time (small n; linear scan at each tick).
 	timers     []*Timer
@@ -145,14 +144,14 @@ type Kernel struct {
 
 	// Scheduler state. readyMask mirrors the ready queues (bit p set iff
 	// ready[p] is non-empty) so the highest ready priority is one bit scan.
-	ready      [NumPriorities][]*Thread
+	ready      [NumPriorities]sim.Queue[*Thread]
 	readyMask  uint32
 	current    *Thread
 	threads    []*Thread
 	inDispatch bool
 
 	// Work-item queue (§4.2: serviced by an RT default priority thread).
-	workQ      []*WorkItem
+	workQ      sim.Queue[WorkItem]
 	workSem    *Semaphore
 	worker     *Thread
 	workerWoke bool // workerStep's program counter
@@ -199,6 +198,17 @@ func (k *Kernel) draw(d sim.Dist) sim.Cycles { return d.Draw(k.rng) }
 
 // now returns the current engine time (not including body charge).
 func (k *Kernel) now() sim.Time { return k.eng.Now() }
+
+// Frames appends to dst the frame of each activity occupying the CPU above
+// thread level, outermost first (a DPC before the ISR that preempted it),
+// and returns the extended slice. It is what the cause tool samples (paper
+// §2.3, §6.1); a running thread or an idle CPU adds none.
+func (k *Kernel) Frames(dst []cpu.Frame) []cpu.Frame {
+	for _, act := range k.stack {
+		dst = append(dst, act.frame)
+	}
+	return dst
+}
 
 // topLevel returns the preemption level currently occupying the CPU above
 // threads, or levelThread when only threads (or idle) occupy it.
@@ -265,21 +275,21 @@ func (k *Kernel) maybeRun() {
 		// 2. Interrupt-masked overhead episode? Admitted only when no
 		// ISR is in flight: masked windows originate in thread/DPC-
 		// context code, not inside other interrupt handlers.
-		if top < levelIsrBase && k.maskQ.len() > 0 {
-			k.startEpisode(k.maskQ.pop())
+		if top < levelIsrBase && k.maskQ.Len() > 0 {
+			k.startEpisode(k.maskQ.PopFront())
 			continue
 		}
 		// 3. DPC drain (DPCs cannot preempt DPCs, so only when below
 		// dispatch level)?
-		if top < levelDispatch && len(k.dpcQ) > 0 {
+		if top < levelDispatch && k.dpcQ.Len() > 0 {
 			k.startDPC()
 			continue
 		}
 		// 4. Scheduler-locked overhead episode? Admitted only when
 		// threads alone hold the CPU; anything above, a context switch
 		// included, holds it off.
-		if top < levelSchedLock && k.lockQ.len() > 0 {
-			k.startEpisode(k.lockQ.pop())
+		if top < levelSchedLock && k.lockQ.Len() > 0 {
+			k.startEpisode(k.lockQ.PopFront())
 			continue
 		}
 		// 5. Resume the suspended top activity, if any.
@@ -319,22 +329,6 @@ func (k *Kernel) releaseActivity(act *activity) {
 	k.actFree = append(k.actFree, act)
 }
 
-// newEpisode returns a recycled pending-episode record or a fresh one.
-func (k *Kernel) newEpisode() *pendingEpisode {
-	if n := len(k.epFree); n > 0 {
-		ep := k.epFree[n-1]
-		k.epFree[n-1] = nil
-		k.epFree = k.epFree[:n-1]
-		return ep
-	}
-	return &pendingEpisode{}
-}
-
-// releaseEpisode returns a started episode's record to the pool.
-func (k *Kernel) releaseEpisode(ep *pendingEpisode) {
-	k.epFree = append(k.epFree, ep)
-}
-
 // resumeTop restarts the clock of the top-of-stack activity.
 func (k *Kernel) resumeTop() {
 	act := k.stack[len(k.stack)-1]
@@ -362,7 +356,6 @@ func (k *Kernel) occupy(act *activity) {
 		k.suspendExec(k.current, now)
 	}
 	k.stack = append(k.stack, act)
-	k.cpu.PushFrame(act.frame.Module, act.frame.Function)
 }
 
 // suspendActivity pauses a running activity, accounting its elapsed time.
@@ -384,7 +377,6 @@ func (k *Kernel) completeActivity(act *activity, now sim.Time) {
 	act.done = nil
 	act.remaining = 0
 	k.stack = k.stack[:n-1]
-	k.cpu.PopFrame()
 	if act.onComplete != nil {
 		act.onComplete(now)
 	}

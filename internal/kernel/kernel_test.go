@@ -455,6 +455,35 @@ func TestHigherIrqlInterruptNestsOverLower(t *testing.T) {
 	}
 }
 
+// TestFramesListISRAboveDPC: an ISR that preempts a running DPC is listed
+// after it, outermost first, appended to whatever the caller passed in;
+// once both complete, nothing occupies the CPU above thread level.
+func TestFramesListISRAboveDPC(t *testing.T) {
+	b := newBench(t, 1, false)
+	d := kernel.NewDPC("DPCDRV", kernel.MediumImportance, func(c *kernel.DpcContext) {
+		c.Charge(50_000)
+	})
+	var inISR []cpu.Frame
+	intr := b.k.Connect(41, 20, "ISRDRV", "_Isr", func(c *kernel.IsrContext) {
+		inISR = b.k.Frames([]cpu.Frame{{Module: "caller"}})
+	})
+	b.eng.At(1000, func(sim.Time) { b.k.QueueDpc(d) })
+	b.eng.At(20_000, func(sim.Time) { intr.Assert() }) // inside the DPC
+	b.eng.RunUntil(1_000_000)
+	want := []cpu.Frame{{Module: "caller"}, {Module: "DPCDRV", Function: "DPC"}, {Module: "ISRDRV", Function: "_Isr"}}
+	if len(inISR) != len(want) {
+		t.Fatalf("frames inside the ISR = %v, want %v", inISR, want)
+	}
+	for i := range want {
+		if inISR[i] != want[i] {
+			t.Fatalf("frames inside the ISR = %v, want %v", inISR, want)
+		}
+	}
+	if f := b.k.Frames(nil); len(f) != 0 {
+		t.Fatalf("frames after both completed = %v, want none", f)
+	}
+}
+
 func TestEqualIrqlInterruptWaits(t *testing.T) {
 	b := newBench(t, 1, false)
 	var entries []sim.Time
@@ -610,7 +639,7 @@ func TestMaskInterruptsEpisodeDelaysIsr(t *testing.T) {
 
 func TestWorkItemRunsOnWorkerAtDefaultRTPriority(t *testing.T) {
 	b := newBench(t, 1, false)
-	b.k.QueueWorkItem(&kernel.WorkItem{Name: "wi", Cycles: 10_000})
+	b.k.QueueWorkItem(kernel.WorkItem{Name: "wi", Cycles: 10_000})
 	b.eng.RunUntil(10_000_000)
 	w := b.k.Worker()
 	if w.Name != "ExWorkerThread" {
@@ -641,7 +670,7 @@ func TestWorkerInterferesWithDefaultRTButNotHigh(t *testing.T) {
 		})
 		const burst = 3_000_000 // 10 ms work item
 		b.eng.At(100_000, func(sim.Time) {
-			b.k.QueueWorkItem(&kernel.WorkItem{Name: "burst", Cycles: burst})
+			b.k.QueueWorkItem(kernel.WorkItem{Name: "burst", Cycles: burst})
 		})
 		// Signal while the worker is mid-burst, just after a quantum refresh
 		// so the round-robin wait is nearly a full quantum.

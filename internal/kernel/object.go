@@ -1,5 +1,7 @@
 package kernel
 
+import "wdmlat/internal/sim"
+
 // WaitStatus is the outcome of a wait (KeWaitForSingleObject).
 type WaitStatus int
 
@@ -38,15 +40,15 @@ type Waitable interface {
 // waiterList is the shared FIFO waiter bookkeeping.
 type waiterList struct {
 	k       *Kernel
-	waiters []*Thread
+	waiters sim.Queue[*Thread]
 }
 
-func (w *waiterList) addWaiter(t *Thread) { w.waiters = append(w.waiters, t) }
+func (w *waiterList) addWaiter(t *Thread) { w.waiters.PushBack(t) }
 
 func (w *waiterList) removeWaiter(t *Thread) {
-	for i, x := range w.waiters {
-		if x == t {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
+	for i := 0; i < w.waiters.Len(); i++ {
+		if w.waiters.At(i) == t {
+			w.waiters.RemoveAt(i)
 			return
 		}
 	}
@@ -54,19 +56,12 @@ func (w *waiterList) removeWaiter(t *Thread) {
 
 func (w *waiterList) kernel() *Kernel { return w.k }
 
-// popWaiter dequeues the longest-waiting thread, or nil. It shifts in
-// place rather than re-slicing the head away: advancing the slice base
-// discards capacity, which made every steady-state wait/wake cycle
-// reallocate the list from scratch.
+// popWaiter dequeues the longest-waiting thread, or nil.
 func (w *waiterList) popWaiter() *Thread {
-	if len(w.waiters) == 0 {
+	if w.waiters.Len() == 0 {
 		return nil
 	}
-	t := w.waiters[0]
-	copy(w.waiters, w.waiters[1:])
-	w.waiters[len(w.waiters)-1] = nil
-	w.waiters = w.waiters[:len(w.waiters)-1]
-	return t
+	return w.waiters.PopFront()
 }
 
 // EventKind selects WDM event semantics.

@@ -194,7 +194,7 @@ func TestRandomStressDeterministic(t *testing.T) {
 			case 3:
 				k.InjectEpisode(LockScheduler, sim.Cycles(1+rng.Intn(200_000)), "VMM", "_X")
 			case 4:
-				k.QueueWorkItem(&WorkItem{Name: "wi", Cycles: sim.Cycles(rng.Intn(100_000))})
+				k.QueueWorkItem(WorkItem{Name: "wi", Cycles: sim.Cycles(rng.Intn(100_000))})
 			}
 			eng.After(sim.Cycles(1000+rng.Intn(80_000)), kick)
 		}
@@ -219,7 +219,7 @@ func TestEpisodeFIFOWithinLevel(t *testing.T) {
 		}
 	})
 	// Inject three scheduler locks back to back; their execution order is
-	// observable through the frame stack when each starts.
+	// observable through the kernel's frames when each starts.
 	probe := func(name string) {
 		k.InjectEpisode(LockScheduler, 50_000, name, "_F")
 	}
@@ -228,10 +228,12 @@ func TestEpisodeFIFOWithinLevel(t *testing.T) {
 		probe("B")
 		probe("C")
 	})
+	var frames []cpu.Frame
 	var watch func(sim.Time)
 	watch = func(sim.Time) {
-		f := k.cpu.CurrentFrame()
-		if f.Function == "_F" {
+		frames = k.Frames(frames[:0])
+		if n := len(frames); n > 0 && frames[n-1].Function == "_F" {
+			f := frames[n-1]
 			if len(order) == 0 || order[len(order)-1] != f.Module {
 				order = append(order, f.Module)
 			}

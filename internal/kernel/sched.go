@@ -9,19 +9,14 @@ import (
 
 // pushReadyBack appends t to the tail of its priority's ready queue.
 func (k *Kernel) pushReadyBack(t *Thread) {
-	k.ready[t.priority] = append(k.ready[t.priority], t)
+	k.ready[t.priority].PushBack(t)
 	k.readyMask |= 1 << uint(t.priority)
 }
 
 // pushReadyFront prepends t, used when a thread is preempted so it runs
-// next among its peers. The shift happens in the existing backing array:
-// ready queues are short and preemption is frequent, so reallocating per
-// preemption would dominate the queue cost.
+// next among its peers.
 func (k *Kernel) pushReadyFront(t *Thread) {
-	q := append(k.ready[t.priority], nil)
-	copy(q[1:], q)
-	q[0] = t
-	k.ready[t.priority] = q
+	k.ready[t.priority].PushFront(t)
 	k.readyMask |= 1 << uint(t.priority)
 }
 
@@ -30,23 +25,17 @@ func (k *Kernel) bestReadyPriority() int {
 	return bits.Len32(k.readyMask) - 1
 }
 
-// popReady removes and returns the head of the given priority queue. The
-// remainder shifts down in place: reslicing from the front would shed one
-// slot of capacity per pop and force the next push to reallocate.
+// popReady removes and returns the head of the given priority queue.
 func (k *Kernel) popReady(p int) *Thread {
-	q := k.ready[p]
-	t := q[0]
-	n := copy(q, q[1:])
-	q[n] = nil
-	k.ready[p] = q[:n]
-	if n == 0 {
+	t := k.ready[p].PopFront()
+	if k.ready[p].Len() == 0 {
 		k.readyMask &^= 1 << uint(p)
 	}
 	return t
 }
 
 // hasReadyAt reports whether another thread is ready at priority p.
-func (k *Kernel) hasReadyAt(p int) bool { return len(k.ready[p]) > 0 }
+func (k *Kernel) hasReadyAt(p int) bool { return k.ready[p].Len() > 0 }
 
 // Current returns the thread currently owning the CPU base level, or nil.
 func (k *Kernel) Current() *Thread { return k.current }
@@ -277,7 +266,7 @@ func (k *Kernel) serveOne(t *Thread) bool {
 // t. Nothing else can have changed, because nothing but the body runs
 // between its resumption and its next operation.
 func (k *Kernel) mustYield(t *Thread) bool {
-	return k.irqPending > 0 || len(k.dpcQ) > 0 || k.PendingEpisodes() > 0 ||
+	return k.irqPending > 0 || k.dpcQ.Len() > 0 || k.PendingEpisodes() > 0 ||
 		k.bestReadyPriority() > t.priority
 }
 

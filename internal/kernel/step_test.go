@@ -108,7 +108,7 @@ func newDiffMachine(seed uint64, boost bool) *diffMachine {
 		m.intr.Assert,
 		func() { k.InjectEpisode(LockScheduler, 30_000, "VMM", "_Lock") },
 		func() { k.InjectEpisode(MaskInterrupts, 10_000, "VXD", "_Cli") },
-		func() { k.QueueWorkItem(&WorkItem{Name: "do.wi", Cycles: 40_000}) },
+		func() { k.QueueWorkItem(WorkItem{Name: "do.wi", Cycles: 40_000}) },
 		func() { k.SetTimer(m.timer, 200_000, m.dpc) },
 		func() { k.ResetEvent(m.events[diffEvents-1]) },
 		func() {}, // readies nothing
@@ -137,7 +137,7 @@ func newDiffMachine(seed uint64, boost bool) *diffMachine {
 		case 2:
 			k.SetTimer(m.timer, sim.Cycles(1+hrng.Intn(900_000)), m.dpc)
 		case 3:
-			k.QueueWorkItem(&WorkItem{Name: "wi", Cycles: sim.Cycles(hrng.Intn(80_000))})
+			k.QueueWorkItem(WorkItem{Name: "wi", Cycles: sim.Cycles(hrng.Intn(80_000))})
 		case 4:
 			k.SetEvent(m.events[hrng.Intn(diffEvents)])
 		case 5:

@@ -427,4 +427,4 @@ func (tc *ThreadContext) CancelTimer(t *Timer) { tc.call(func() { tc.k.cancelTim
 func (tc *ThreadContext) CompleteIrp(irp *IRP) { tc.call(func() { tc.k.completeIrp(irp) }) }
 
 // QueueWorkItem schedules passive-level work on the kernel worker.
-func (tc *ThreadContext) QueueWorkItem(w *WorkItem) { tc.call(func() { tc.k.QueueWorkItem(w) }) }
+func (tc *ThreadContext) QueueWorkItem(w WorkItem) { tc.call(func() { tc.k.QueueWorkItem(w) }) }

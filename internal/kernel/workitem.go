@@ -15,17 +15,17 @@ type WorkItem struct {
 
 // QueueWorkItem appends w to the work queue and wakes the worker. Safe to
 // call from simulation-harness context and from ISR/DPC contexts.
-func (k *Kernel) QueueWorkItem(w *WorkItem) {
-	if w == nil || w.Cycles < 0 {
+func (k *Kernel) QueueWorkItem(w WorkItem) {
+	if w.Cycles < 0 {
 		panic("kernel: invalid work item")
 	}
-	k.workQ = append(k.workQ, w)
+	k.workQ.PushBack(w)
 	k.workSem.release(1)
 	k.maybeRun()
 }
 
 // WorkQueueLen returns the number of queued-but-unstarted work items.
-func (k *Kernel) WorkQueueLen() int { return len(k.workQ) }
+func (k *Kernel) WorkQueueLen() int { return k.workQ.Len() }
 
 // Worker returns the worker thread (available after Boot).
 func (k *Kernel) Worker() *Thread { return k.worker }
@@ -34,29 +34,16 @@ func (k *Kernel) Worker() *Thread { return k.worker }
 // pop one item, execute its cost, and wait again. workerWoke is its
 // program counter: set while the semaphore wait is in flight. The pop runs
 // in the step itself, because a resumed body holds the CPU with nothing
-// runnable above it and a pop readies nothing.
+// runnable above it and a pop readies nothing. Each queued item releases
+// the semaphore once, so a satisfied wait always finds one queued.
 func (k *Kernel) workerStep(tc *ThreadContext) {
 	if k.workerWoke {
 		k.workerWoke = false
-		if w := k.popWork(); w != nil && w.Cycles > 0 {
+		if w := k.workQ.PopFront(); w.Cycles > 0 {
 			tc.Exec(w.Cycles)
 			return
 		}
 	}
 	k.workerWoke = true
 	tc.Wait(k.workSem)
-}
-
-// popWork removes and returns the head of the work queue, or nil. The
-// remainder shifts down in place and the vacated slot is cleared, so the
-// queue keeps its capacity and pins no finished item.
-func (k *Kernel) popWork() *WorkItem {
-	if len(k.workQ) == 0 {
-		return nil
-	}
-	w := k.workQ[0]
-	n := copy(k.workQ, k.workQ[1:])
-	k.workQ[n] = nil
-	k.workQ = k.workQ[:n]
-	return w
 }

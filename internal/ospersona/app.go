@@ -29,8 +29,7 @@ type App struct {
 	m      *Machine
 	Name   string
 	sem    *kernel.Semaphore
-	queue  []Op // submitted ops; queue[head:] have not been popped yet
-	head   int
+	queue  sim.Queue[Op] // submitted ops not yet popped
 	done   uint64
 	ioWait *kernel.Event
 	idleEv *kernel.Event // signaled every time the queue drains
@@ -60,14 +59,7 @@ func (m *Machine) NewApp(name string) *App {
 		ioWait: m.Kernel.NewEvent(name+".io", kernel.SynchronizationEvent),
 		idleEv: m.Kernel.NewEvent(name+".idle", kernel.NotificationEvent),
 	}
-	a.popFn = func() {
-		a.op = a.queue[a.head]
-		a.head++
-		if a.head == len(a.queue) {
-			a.queue = a.queue[:0]
-			a.head = 0
-		}
-	}
+	a.popFn = func() { a.op = a.queue.PopFront() }
 	a.finishFn = func() {
 		a.done++
 		if a.Pending() == 0 {
@@ -83,20 +75,14 @@ func (m *Machine) NewApp(name string) *App {
 }
 
 // Submit appends ops to the app's script. Callable from simulation-harness
-// context (workload generator events). A pop advances head instead of
-// shifting the queue; the popped prefix is compacted away only when the
-// backing is full and at least half of it has been popped, so a stress
-// workload's standing backlog of hundreds of ops costs O(1) amortized per
-// op and the backing stays bounded by its peak.
+// context (workload generator events).
 func (a *App) Submit(ops ...Op) {
 	if len(ops) == 0 {
 		return
 	}
-	if len(a.queue)+len(ops) > cap(a.queue) && 2*a.head >= len(a.queue) {
-		a.queue = a.queue[:copy(a.queue, a.queue[a.head:])]
-		a.head = 0
+	for _, op := range ops {
+		a.queue.PushBack(op)
 	}
-	a.queue = append(a.queue, ops...)
 	a.m.Kernel.ReleaseSemaphore(a.sem, len(ops))
 }
 
@@ -104,7 +90,7 @@ func (a *App) Submit(ops ...Op) {
 func (a *App) Done() uint64 { return a.done }
 
 // Pending returns the number of queued, unfinished ops.
-func (a *App) Pending() int { return len(a.queue) - a.head }
+func (a *App) Pending() int { return a.queue.Len() }
 
 // IdleEvent is signaled whenever the app drains its queue; throughput
 // harnesses wait on it to time a script.

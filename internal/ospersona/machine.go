@@ -174,8 +174,8 @@ func (m *Machine) buildDisk() {
 	m.diskDpc = kernel.NewDPC("IDEDISK", kernel.MediumImportance, func(c *kernel.DpcContext) {
 		c.Charge(m.takeExtra(&m.diskDpcExtra))
 		for {
-			req := m.Disk.CompleteTransfer()
-			if req == nil {
+			req, ok := m.Disk.CompleteTransfer()
+			if !ok {
 				break
 			}
 			if m.Disk.PIO {
@@ -186,7 +186,6 @@ func (m *Machine) buildDisk() {
 			if fn, ok := req.Tag.(func(*kernel.DpcContext)); ok && fn != nil {
 				fn(c)
 			}
-			m.Disk.FreeRequest(req)
 		}
 	})
 }
@@ -269,7 +268,7 @@ func (m *Machine) apply(r eventResponse, lockFrames, maskFrames frameSet, extra 
 		*extra += r.DpcWork.Draw(m.rng)
 	}
 	if r.WorkItemProb > 0 && r.WorkItem != nil && m.rng.Bool(r.WorkItemProb) {
-		m.Kernel.QueueWorkItem(&kernel.WorkItem{
+		m.Kernel.QueueWorkItem(kernel.WorkItem{
 			Name:   "ospersona.work",
 			Cycles: r.WorkItem.Draw(m.rng),
 		})
@@ -288,9 +287,7 @@ func (m *Machine) FileOp(bytes int, write bool, onDone func(*kernel.DpcContext))
 	if m.Opts.VirusScanner {
 		m.apply(m.Profile.VirusScanner, m.Profile.ScanFrames, m.Profile.MaskFrames, nil)
 	}
-	req := m.Disk.AllocRequest()
-	req.Bytes, req.Write, req.Tag = bytes, write, onDone
-	m.Disk.Submit(req)
+	m.Disk.Submit(hw.DiskRequest{Bytes: bytes, Write: write, Tag: onDone})
 }
 
 // UIEvent models one user-interface event (keystroke batch, menu, dialog).
@@ -327,9 +324,7 @@ func (m *Machine) PageFaultBurst(pages int) {
 	m.pageFaults++
 	m.apply(m.Profile.PageFault, m.Profile.LockFrames, m.Profile.MaskFrames, &m.diskDpcExtra)
 	if pages > 0 {
-		req := m.Disk.AllocRequest()
-		req.Bytes, req.Tag = pages*4096, (func(*kernel.DpcContext))(nil)
-		m.Disk.Submit(req)
+		m.Disk.Submit(hw.DiskRequest{Bytes: pages * 4096})
 	}
 }
 

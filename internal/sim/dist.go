@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dist is a distribution of durations in cycles. OS personalities express
@@ -49,27 +48,6 @@ func (u Uniform) Draw(r *RNG) Cycles {
 func (u Uniform) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
 
 func (u Uniform) String() string { return fmt.Sprintf("uniform[%d,%d]", int64(u.Lo), int64(u.Hi)) }
-
-// Exponential is an exponential distribution with the given mean, optionally
-// clamped to Cap (0 means no cap).
-type Exponential struct {
-	MeanCycles Cycles
-	Cap        Cycles
-}
-
-// Draw implements Dist.
-func (e Exponential) Draw(r *RNG) Cycles {
-	v := Cycles(r.Exp(float64(e.MeanCycles)))
-	if e.Cap > 0 && v > e.Cap {
-		v = e.Cap
-	}
-	return v
-}
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return float64(e.MeanCycles) }
-
-func (e Exponential) String() string { return fmt.Sprintf("exp(mean=%d)", int64(e.MeanCycles)) }
 
 // Pareto is a bounded Pareto distribution: scale Xm (the minimum value),
 // shape Alpha, hard upper bound Cap (0 = unbounded). Heavy tails with
@@ -191,73 +169,3 @@ func (m *Mixture) Mean() float64 {
 }
 
 func (m *Mixture) String() string { return fmt.Sprintf("mixture(%d components)", len(m.Components)) }
-
-// Empirical draws uniformly from a fixed sample set. It is used to replay
-// measured distributions (e.g. feeding a measured latency table back into
-// the analytic MTTF model for cross-validation).
-type Empirical struct {
-	samples []Cycles
-}
-
-// NewEmpirical copies and sorts the samples. It panics on an empty set.
-func NewEmpirical(samples []Cycles) *Empirical {
-	if len(samples) == 0 {
-		panic("sim: empirical distribution with no samples")
-	}
-	cp := make([]Cycles, len(samples))
-	copy(cp, samples)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return &Empirical{samples: cp}
-}
-
-// Draw implements Dist.
-func (e *Empirical) Draw(r *RNG) Cycles {
-	return e.samples[r.Intn(len(e.samples))]
-}
-
-// Mean implements Dist.
-func (e *Empirical) Mean() float64 {
-	var sum float64
-	for _, s := range e.samples {
-		sum += float64(s)
-	}
-	return sum / float64(len(e.samples))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of the sample set.
-func (e *Empirical) Quantile(q float64) Cycles {
-	if q <= 0 {
-		return e.samples[0]
-	}
-	if q >= 1 {
-		return e.samples[len(e.samples)-1]
-	}
-	i := int(q * float64(len(e.samples)))
-	if i >= len(e.samples) {
-		i = len(e.samples) - 1
-	}
-	return e.samples[i]
-}
-
-func (e *Empirical) String() string { return fmt.Sprintf("empirical(n=%d)", len(e.samples)) }
-
-// Scaled wraps a distribution, multiplying every draw by Factor. Workload
-// intensity knobs use it to derive "heavy" variants from a base profile.
-type Scaled struct {
-	Base   Dist
-	Factor float64
-}
-
-// Draw implements Dist.
-func (s Scaled) Draw(r *RNG) Cycles {
-	v := float64(s.Base.Draw(r)) * s.Factor
-	if v < 0 {
-		return 0
-	}
-	return Cycles(v)
-}
-
-// Mean implements Dist.
-func (s Scaled) Mean() float64 { return s.Base.Mean() * s.Factor }
-
-func (s Scaled) String() string { return fmt.Sprintf("scaled(%.2f, %s)", s.Factor, s.Base) }

@@ -58,25 +58,28 @@ func TestUniformDegenerate(t *testing.T) {
 	}
 }
 
-func TestExponentialDist(t *testing.T) {
-	d := Exponential{MeanCycles: 1000}
-	xs := drawMany(d, 50000, 3)
-	if m := meanOf(xs); math.Abs(m-1000) > 30 {
-		t.Fatalf("exp mean %v, want ~1000", m)
+// drawExp draws n values from RNG.Exp, the exponential the workloads'
+// arrival processes use.
+func drawExp(mean float64, n int, seed uint64) []float64 {
+	r := NewRNG(seed)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.Exp(mean)
 	}
-	for _, x := range xs {
-		if x < 0 {
-			t.Fatalf("exp drew negative %d", x)
-		}
-	}
+	return out
 }
 
-func TestExponentialCap(t *testing.T) {
-	d := Exponential{MeanCycles: 1000, Cap: 1500}
-	for _, x := range drawMany(d, 20000, 4) {
-		if x > 1500 {
-			t.Fatalf("capped exp drew %d", x)
+func TestExponentialDist(t *testing.T) {
+	xs := drawExp(1000, 50000, 3)
+	var sum float64
+	for _, x := range xs {
+		if x < 0 {
+			t.Fatalf("exp drew negative %v", x)
 		}
+		sum += x
+	}
+	if m := sum / float64(len(xs)); math.Abs(m-1000) > 30 {
+		t.Fatalf("exp mean %v, want ~1000", m)
 	}
 }
 
@@ -85,19 +88,18 @@ func TestParetoTailHeavierThanExponential(t *testing.T) {
 	// >50x-median draws than an exponential. This property is what lets the
 	// personality profiles reproduce Figure 4's long thin tails.
 	p := Pareto{Xm: 1000, Alpha: 1.2}
-	e := Exponential{MeanCycles: 1700}
-	count := func(xs []Cycles, above Cycles) int {
-		n := 0
-		for _, x := range xs {
-			if x > above {
-				n++
-			}
-		}
-		return n
-	}
 	ps := drawMany(p, 100000, 5)
-	es := drawMany(e, 100000, 6)
-	if cp, ce := count(ps, 50000), count(es, 50000); cp <= ce*5 {
+	es := drawExp(1700, 100000, 6)
+	cp, ce := 0, 0
+	for i := range ps {
+		if ps[i] > 50000 {
+			cp++
+		}
+		if es[i] > 50000 {
+			ce++
+		}
+	}
+	if cp <= ce*5 {
 		t.Fatalf("pareto tail %d not much heavier than exp tail %d", cp, ce)
 	}
 }
@@ -173,51 +175,14 @@ func TestMixtureValidation(t *testing.T) {
 	assertPanics("zero-sum", func() { NewMixture([]Dist{Constant(1)}, []float64{0}) })
 }
 
-func TestEmpiricalDist(t *testing.T) {
-	e := NewEmpirical([]Cycles{5, 1, 3})
-	seen := map[Cycles]bool{}
-	for _, x := range drawMany(e, 1000, 10) {
-		seen[x] = true
-		if x != 1 && x != 3 && x != 5 {
-			t.Fatalf("empirical drew %d", x)
-		}
-	}
-	if len(seen) != 3 {
-		t.Fatalf("empirical did not cover all samples: %v", seen)
-	}
-	if m := e.Mean(); m != 3 {
-		t.Fatalf("empirical mean %v", m)
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %d", q)
-	}
-	if q := e.Quantile(1); q != 5 {
-		t.Fatalf("q1 = %d", q)
-	}
-	if q := e.Quantile(0.5); q != 3 {
-		t.Fatalf("q0.5 = %d", q)
-	}
-}
-
-func TestScaledDist(t *testing.T) {
-	s := Scaled{Base: Constant(100), Factor: 2.5}
-	if v := s.Draw(NewRNG(1)); v != 250 {
-		t.Fatalf("scaled drew %d", v)
-	}
-	if s.Mean() != 250 {
-		t.Fatalf("scaled mean %v", s.Mean())
-	}
-}
-
 // Property: no distribution ever returns a negative duration.
 func TestQuickDistributionsNonNegative(t *testing.T) {
 	dists := []Dist{
 		Constant(0),
 		Uniform{Lo: 0, Hi: 1 << 20},
-		Exponential{MeanCycles: 5000},
 		Pareto{Xm: 100, Alpha: 1.1, Cap: 1 << 30},
 		LogNormal{Mu: 5, Sigma: 2, Cap: 1 << 30},
-		Scaled{Base: Exponential{MeanCycles: 100}, Factor: 0.5},
+		NewMixture([]Dist{Uniform{Lo: 0, Hi: 100}, LogNormal{Mu: 8, Sigma: 1.5}}, []float64{0.9, 0.1}),
 	}
 	for _, d := range dists {
 		d := d

@@ -35,9 +35,11 @@ DIR=results-horde-smoke
 ADDR=127.0.0.1:8473
 URL=http://$ADDR
 SEED=3
-# Cells must outlast a worker's 1 s lease expiry and re-dispatch, so that
-# leases are still outstanding when step 4 kills the coordinator.
-DURATION=150s
+# The re-dispatched cells must still be running when step 4 looks for
+# outstanding leases to orphan, and it polls every 0.1 s. A cell of this
+# length runs about 0.3 s alone on a 2-vCPU host; at 150 s it ran under
+# 0.1 s, and step 4 often found the campaign already finished.
+DURATION=600s
 WORKERS=4
 DOWNTIME=${DOWNTIME:-16}
 
