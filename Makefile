@@ -85,9 +85,11 @@ substrate:
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume
-# byte-identity, the collect-twice / callback-ordering regressions, and
-# campaign.Stream's drain-then-return on a failed cell. These tests
-# interleave cancellation with worker publication, so the race detector is
+# byte-identity, the collect-twice / callback-ordering regressions,
+# campaign.Stream's drain-then-return on a failed cell, and
+# TestStreamDropsStreamedResults (Stream lets go of each cell's result
+# once its document is written). These tests interleave cancellation and
+# collection with worker publication, so the race detector is
 # load-bearing here, not belt-and-braces.
 failure-paths:
 	$(GO) test -race -run 'TestPanicking|TestCancelled|TestResume|TestCollectTwice|TestOnCellDone|TestCheckpointRestore|TestStream' ./internal/campaign/...
@@ -119,12 +121,13 @@ bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # fuzz-smoke: ten seconds of native Go fuzzing per decoder of untrusted
-# result bytes — core.DecodeResult (checkpoint files and worker
-# completions) and the histogram parser beneath it — per worker
-# completion body through Coordinator.Complete, per journal file
-# through OpenJournal, per campaign submission body and per lease
-# response. The codec targets assert the decoder never panics
-# and that any input it accepts re-encodes to exactly itself; their seed
+# result bytes — core.DecodeResult and core.ParseResult, which checkpoint
+# files and worker completions go through, and the histogram parser
+# beneath them — per worker completion body through Coordinator.Complete,
+# per journal file through OpenJournal, per campaign submission body and
+# per lease response. The codec targets assert the decoder never panics,
+# that any input it accepts re-encodes to exactly itself, and that
+# ParseResult decides every input as DecodeResult does; their seed
 # corpus is the codec's differential-test documents, whole, truncated and
 # with a byte flipped. The completion target asserts the coordinator never
 # panics, merges a result only as its exact canonical bytes for the leased

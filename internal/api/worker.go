@@ -27,7 +27,6 @@ package api
 // defensible while every worker is bit-for-bit interchangeable.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -138,19 +137,20 @@ func (c *CompleteRequest) Validate() error {
 }
 
 // EncodeCellResult produces the canonical completion payload for a result:
-// its exact core.EncodeResult document with the encoder's trailing newline
-// stripped. The strip matters because the payload travels embedded in the
-// CompleteRequest JSON as a RawMessage, and encoding/json compacts raw
-// values in transit — a payload defined with the newline would arrive one
-// byte short of itself and never survive the coordinator's byte-exact
-// canonical check. Workers use this so the bytes they deliver are the
-// bytes a local run would have checkpointed.
+// the document core.AppendResult encodes, returned without its trailing
+// newline, which stays in the slice's capacity, so append(payload, '\n')
+// is the checkpoint document without a copy. The strip matters because the
+// payload travels embedded in the CompleteRequest JSON as a RawMessage,
+// and encoding/json compacts raw values in transit — a payload defined
+// with the newline would arrive one byte short of itself and never survive
+// the coordinator's byte-exact canonical check. Workers use this so the
+// bytes they deliver are the bytes a local run would have checkpointed.
 func EncodeCellResult(res *core.Result) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := core.EncodeResult(&buf, res); err != nil {
+	doc, err := core.AppendResult(nil, res)
+	if err != nil {
 		return nil, err
 	}
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
+	return doc[:len(doc)-1], nil
 }
 
 // WorkerStatus is one worker's row in GET /v1/fleet.

@@ -429,7 +429,14 @@ func (r *Runner) runCell(c Cell) (res *core.Result, err error) {
 // ErrCancelled-wrapped error for cells dropped by cancellation). It panics
 // on an unknown key (the cell was never submitted, so waiting would
 // deadlock).
-func (r *Runner) Result(key string) (*core.Result, error) {
+func (r *Runner) Result(key string) (*core.Result, error) { return r.collect(key, false) }
+
+// take is Result for a collector that reads each cell once: it also drops
+// the runner's reference to the result, so the cell's result can be
+// garbage once the collector is done with it while later cells still run.
+func (r *Runner) take(key string) (*core.Result, error) { return r.collect(key, true) }
+
+func (r *Runner) collect(key string, drop bool) (*core.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p, ok := r.cells[key]
@@ -442,7 +449,11 @@ func (r *Runner) Result(key string) (*core.Result, error) {
 	if p.err != nil {
 		return nil, fmt.Errorf("campaign: cell %q: %w", key, p.err)
 	}
-	return p.res, nil
+	res := p.res
+	if drop {
+		p.res = nil
+	}
+	return res, nil
 }
 
 // Merged collects the runs replica cells of key (submitted via Replicas)
@@ -530,16 +541,19 @@ func Run(cells []Cell, opts Options) ([]*core.Result, error) {
 
 // Stream runs a campaign on a fresh pool and writes its result stream to w
 // in cell order: the bytes latserved serves for the same spec. With prec
-// nil every cell runs once and its core.EncodeResult document is written
-// as soon as it is next in order. With prec set every cell is a logical
-// cell: all of them run their MergedAdaptive loops concurrently, and each
-// writes its pooled document. opts.OnCellDone fires once per cell in both
-// modes. On the first failure in cell order Stream drains the pool, so
-// running cells still checkpoint, and returns that cell's error; otherwise
-// it returns Wait's.
+// nil every cell runs once and its core.AppendResult document is written
+// as soon as it is next in order; the runner then drops the cell's result,
+// so a campaign holds only the results it has not yet written. With prec
+// set every cell is a logical cell: all of them run their MergedAdaptive
+// loops concurrently, and each writes its pooled document; those replicas
+// stay held until the campaign ends. Each document is encoded into one
+// scratch buffer that Stream reuses, and reaches w in one Write.
+// opts.OnCellDone fires once per cell in both modes. On the first failure
+// in cell order Stream drains the pool, so running cells still checkpoint,
+// and returns that cell's error; otherwise it returns Wait's.
 func Stream(w io.Writer, cells []Cell, prec *stats.Precision, opts Options) error {
 	var r *Runner
-	result := func(i int) (*core.Result, error) { return r.Result(cells[i].Key) }
+	result := func(i int) (*core.Result, error) { return r.take(cells[i].Key) }
 	if prec == nil {
 		r = New(opts)
 		r.Submit(cells...)
@@ -552,10 +566,14 @@ func Stream(w io.Writer, cells []Cell, prec *stats.Precision, opts Options) erro
 		outs := r.mergeAdaptiveAll(cells, *prec, done)
 		result = func(i int) (*core.Result, error) { return outs[i].res, outs[i].err }
 	}
+	var doc []byte
 	for i, c := range cells {
 		res, err := result(i)
 		if err == nil {
-			if err = core.EncodeResult(w, res); err != nil {
+			if doc, err = core.AppendResult(doc[:0], res); err == nil {
+				_, err = w.Write(doc)
+			}
+			if err != nil {
 				err = fmt.Errorf("campaign: encoding cell %q: %w", c.Key, err)
 			}
 		}

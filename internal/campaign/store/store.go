@@ -143,7 +143,7 @@ func (s *Store) load(fp string) ([]byte, *core.Result, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	res, err := core.DecodeResult(bytes.NewReader(data))
+	res, err := core.ParseResult(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: checkpoint %s: %w", fp, err)
 	}
@@ -154,28 +154,45 @@ func (s *Store) load(fp string) ([]byte, *core.Result, error) {
 	return data, res, nil
 }
 
-// Save atomically persists res under fp: the encoding lands in a temp file
-// in the store directory and is renamed into place only once fully
-// written and synced, so concurrent readers and crash recovery only ever
-// see complete checkpoints.
+// Save atomically persists res under fp: SaveBytes of the document
+// core.AppendResult encodes. A result that cannot be encoded (a NaN) is an
+// error before anything touches the store directory.
 func (s *Store) Save(fp string, res *core.Result) error {
+	doc, err := core.AppendResult(nil, res)
+	if err != nil {
+		return fmt.Errorf("store: checkpoint %s: %w", fp, err)
+	}
+	return s.SaveBytes(fp, doc)
+}
+
+// SaveBytes atomically persists doc under fp. doc is a document as
+// core.AppendResult encodes it, ending in its one newline: what LoadBytes
+// returns. It is written as given, not checked, so a caller holding the
+// encoded bytes (a fleet worker that also delivers them) saves without a
+// second encode; a document that does not decode fails its Load, and its
+// cell re-runs. The bytes land in a temp file in the store directory that
+// is renamed into place only once fully written and synced, so concurrent
+// readers and crash recovery only ever see complete checkpoints; the temp
+// file is removed only when a step fails.
+func (s *Store) SaveBytes(fp string, doc []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "."+fp+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := core.EncodeResult(tmp, res); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: checkpoint %s: %w", fp, err)
+	_, err = tmp.Write(doc)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(fp))
 	}
-	if err := os.Rename(tmp.Name(), s.path(fp)); err != nil {
+	if err != nil {
+		// Best effort: the save has failed either way, and a temp file
+		// left behind is swept by the next Open.
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	s.writes.Inc()

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,8 +74,9 @@ func TestStoreCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestStoreSaveAtomic: after Save, the directory holds exactly the final
-// file — no temp leftovers a crashed writer could confuse a reader with.
+// TestStoreSaveAtomic: after Save and SaveBytes, the directory holds
+// exactly the final files — no temp leftovers a crashed writer could
+// confuse a reader with — and SaveBytes stores its document byte for byte.
 func TestStoreSaveAtomic(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -85,17 +88,67 @@ func TestStoreSaveAtomic(t *testing.T) {
 	if err := s.Save(fp, res); err != nil {
 		t.Fatal(err)
 	}
+	doc, err := core.AppendResult(nil, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpBytes := Fingerprint(7, "k2", cfg)
+	if err := s.SaveBytes(fpBytes, doc); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fp + ".json", fpBytes + ".json"}
+	slices.Sort(want) // os.ReadDir's order
+	if got := storeDir(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("store dir holds %v, want exactly %v", got, want)
+	}
+	for _, f := range []string{fp, fpBytes} {
+		if got, err := os.ReadFile(filepath.Join(dir, f+".json")); err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("%s.json = %d bytes (%v), want the %d-byte document", f, len(got), err, len(doc))
+		}
+	}
+}
+
+// TestStoreSaveUnencodableLeavesDirUnchanged: a result Save cannot encode
+// (a NaN) is an error before anything touches the store directory: no
+// temp file, no entry, no write counted.
+func TestStoreSaveUnencodableLeavesDirUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	res, cfg := testResult(t)
+	if err := s.Save(Fingerprint(7, "k", cfg), res); err != nil {
+		t.Fatal(err)
+	}
+	before := storeDir(t, dir)
+	res.Config.StormPPS = math.NaN()
+	fp := Fingerprint(7, "nan", cfg)
+	if err := s.Save(fp, res); err == nil {
+		t.Fatal("Save of a NaN result succeeded, want an error")
+	}
+	if after := storeDir(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("store dir went from %v to %v on a failed Save", before, after)
+	}
+	if got := reg.Counter(MetricWrites).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1 (the failed Save counts nothing)", MetricWrites, got)
+	}
+}
+
+// storeDir lists the names in dir.
+func storeDir(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != fp+".json" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("store dir holds %v, want exactly [%s.json]", names, fp)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
+	return names
 }
 
 // TestFingerprintSensitivity: the fingerprint must change with every input

@@ -2,7 +2,8 @@ package campaign
 
 // Stream tests: the one path that turns a campaign into its result stream
 // must write the bytes of references built without it, fire OnCellDone
-// once per spec cell, and on a failure return the first failing cell's
+// once per spec cell, hold a fixed-replica cell's result only until its
+// document is written, and on a failure return the first failing cell's
 // error only after every cell it started has been checkpointed.
 
 import (
@@ -10,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,5 +199,44 @@ func TestStreamFailureDrainsAndReturnsCellError(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStreamDropsStreamedResults: a fixed-replica Stream lets go of each
+// cell's result once its document is written, so a campaign holds only the
+// results it has not yet written. Cells run one at a time, and the last
+// one waits, in a bounded GC loop, until every earlier cell's result has
+// been finalized; a runner that kept them until the campaign ends keeps
+// them reachable, and the loop runs out.
+func TestStreamDropsStreamedResults(t *testing.T) {
+	cells := streamCells()
+	last, earlier := cells[len(cells)-1].Key, int32(len(cells)-1)
+	var finalized atomic.Int32
+	var collected int32 // finalized results the last cell saw
+	var buf bytes.Buffer
+	err := Stream(&buf, cells, nil, Options{
+		BaseSeed: streamSeed, Jobs: 1,
+		ExecuteCell: func(key string, cfg core.RunConfig) (*core.Result, error) {
+			if key == last {
+				for i := 0; i < 200 && finalized.Load() < earlier; i++ {
+					runtime.GC()
+					time.Sleep(5 * time.Millisecond)
+				}
+				collected = finalized.Load()
+				return adaptiveFake(cfg), nil
+			}
+			res := adaptiveFake(cfg)
+			runtime.SetFinalizer(res, func(*core.Result) { finalized.Add(1) })
+			return res, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if collected != earlier {
+		t.Fatalf("%d of the %d earlier cells' results were collected while the last cell ran, want all of them", collected, earlier)
+	}
+	if !bytes.Equal(buf.Bytes(), fixedReference(t, cells)) {
+		t.Fatal("stream differs from the reference")
 	}
 }

@@ -253,45 +253,43 @@ func (c *Client) workerSession(ctx context.Context, reg api.RegisterResponse, op
 }
 
 // executeLease verifies, resolves (checkpoint store first, simulator
-// second) and delivers one cell. Only version skew is returned as an
-// error; execution failures are reported to the coordinator (which fails
-// the cell deterministically) and delivery problems are left to lease
-// expiry — the coordinator re-dispatches, and this worker's eventual
-// retry, if the cell merged meanwhile, is answered 410 and dropped.
+// second) and delivers one cell. Each result is encoded once: a store hit
+// delivers the stored document's bytes, and an executed cell's payload is
+// both what it checkpoints (plus the newline) and what it delivers, saved
+// before delivery so a re-dispatched lease finds it. Only version skew is
+// returned as an error; execution failures are reported to the coordinator
+// (which fails the cell deterministically) and delivery problems are left
+// to lease expiry — the coordinator re-dispatches, and this worker's
+// eventual retry, if the cell merged meanwhile, is answered 410 and
+// dropped.
 func (c *Client) executeLease(ctx context.Context, workerID string, l api.Lease, opts WorkerOptions) error {
 	if err := l.Verify(); err != nil {
 		return fmt.Errorf("%w: %v", ErrWorkerSkew, err)
 	}
-	var res *core.Result
+	req := api.CompleteRequest{Fingerprint: l.Fingerprint}
 	var execErr, storeErr error
-	cached := false
 	if opts.Store != nil {
 		// An unreadable or corrupt checkpoint falls back to execution —
 		// re-running a cell is always safe; serving bad bytes never is
 		// (the coordinator would reject them anyway).
-		if hit, err := opts.Store.Load(l.Fingerprint); err == nil && hit != nil {
-			res, cached = hit, true
+		if doc, err := opts.Store.LoadBytes(l.Fingerprint); err == nil && doc != nil {
+			req.Result, req.Cached = doc[:len(doc)-1], true
 		}
 	}
-	if !cached {
+	if !req.Cached {
+		var res *core.Result
 		res, execErr = runCellRecovering(opts.Execute, l.Config)
-		if execErr == nil && opts.Store != nil {
-			if err := opts.Store.Save(l.Fingerprint, res); err != nil {
-				storeErr = fmt.Errorf("checkpointing cell: %w", err)
+		if execErr == nil {
+			if req.Result, execErr = api.EncodeCellResult(res); execErr != nil {
+				execErr = fmt.Errorf("encoding result: %w", execErr)
 			}
 		}
-	}
-	req := api.CompleteRequest{Fingerprint: l.Fingerprint, Cached: cached}
-	if execErr != nil {
-		req.Error = execErr.Error()
-	} else {
-		payload, err := api.EncodeCellResult(res)
-		if err != nil {
-			req.Error = fmt.Sprintf("encoding result: %v", err)
-			req.Cached = false
-			execErr = err
-		} else {
-			req.Result = payload
+		if execErr != nil {
+			req.Error = execErr.Error()
+		} else if opts.Store != nil {
+			if err := opts.Store.SaveBytes(l.Fingerprint, append(req.Result, '\n')); err != nil {
+				storeErr = fmt.Errorf("checkpointing cell: %w", err)
+			}
 		}
 	}
 	if err := c.complete(ctx, workerID, req); err != nil {

@@ -19,6 +19,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,7 +340,8 @@ func TestWorkerAnswersLeaseFromCheckpointStore(t *testing.T) {
 
 // TestWorkerPopulatesStoreOnMiss: a miss executes once and checkpoints the
 // result, so the same lease re-granted (a straggler re-dispatch) is a
-// cache hit with byte-identical payload.
+// cache hit with byte-identical payload; the checkpoint is the payload it
+// delivered, so the result was encoded once.
 func TestWorkerPopulatesStoreOnMiss(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -378,6 +381,15 @@ func TestWorkerPopulatesStoreOnMiss(t *testing.T) {
 	}
 	if saved, err := st.Load(l.Fingerprint); err != nil || saved == nil {
 		t.Fatalf("executed result not checkpointed: (%v, %v)", saved, err)
+	}
+	// One encode serves both: the checkpoint file is the delivered
+	// payload and its newline, byte for byte.
+	file, err := os.ReadFile(filepath.Join(st.Dir(), l.Fingerprint+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(bytes.Clone(first.Result), '\n'); !bytes.Equal(file, want) {
+		t.Fatalf("checkpoint file is %d bytes, want the %d-byte delivered payload plus one newline", len(file), len(first.Result))
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"wdmlat/internal/canon"
 	"wdmlat/internal/causetool"
@@ -38,30 +39,48 @@ import (
 // the new fields.
 const ResultCodecVersion = 2
 
-// EncodeResult writes r's checkpoint encoding to w: one document and a
-// newline, or nothing if r holds a NaN or infinite float.
-func EncodeResult(w io.Writer, r *Result) error {
-	buf, err := canon.Append(make([]byte, 0, 8<<10), r, resultFields)
+// AppendResult appends r's checkpoint encoding to dst: one document and a
+// newline. If r holds a NaN or infinite float it returns dst unchanged and
+// an error. It first makes room for 8 KB, about one document (4 KB for an
+// idle cell, 8.5 KB for a 30 s business cell), so that a fresh buffer is
+// not grown by doubling from a few bytes.
+func AppendResult(dst []byte, r *Result) ([]byte, error) {
+	buf, err := canon.Append(slices.Grow(dst, 8<<10), r, resultFields)
 	if err != nil {
-		return fmt.Errorf("core: encoding result: %w", err)
+		return dst, fmt.Errorf("core: encoding result: %w", err)
 	}
-	_, err = w.Write(append(buf, '\n'))
+	return append(buf, '\n'), nil
+}
+
+// EncodeResult writes r's checkpoint encoding to w in one Write: what
+// AppendResult appends, or nothing if r cannot be encoded.
+func EncodeResult(w io.Writer, r *Result) error {
+	buf, err := AppendResult(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// DecodeResult reads one checkpoint-encoded Result from rd: all of it,
-// which must be exactly what EncodeResult writes, with or without the
-// trailing newline.
-func DecodeResult(rd io.Reader) (*Result, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding result: %w", err)
-	}
+// ParseResult decodes one checkpoint-encoded Result from data, which must
+// be exactly what AppendResult appends, with or without the trailing
+// newline. The result shares no memory with data.
+func ParseResult(data []byte) (*Result, error) {
 	r := new(Result)
 	if err := canon.Parse(bytes.TrimSuffix(data, []byte("\n")), r, resultFields); err != nil {
 		return nil, fmt.Errorf("core: decoding result: %w", err)
 	}
 	return r, nil
+}
+
+// DecodeResult reads all of rd and parses it with ParseResult.
+func DecodeResult(rd io.Reader) (*Result, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding result: %w", err)
+	}
+	return ParseResult(data)
 }
 
 // resultFields is Result's wire form: its fields in declaration order

@@ -487,6 +487,36 @@ func TestResultEncodeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestAppendResultAppends: AppendResult onto a non-empty prefix keeps the
+// prefix and adds exactly EncodeResult's bytes, onto a reused buffer it
+// writes each document whole over the last, and a result it cannot encode
+// leaves dst as it was.
+func TestAppendResultAppends(t *testing.T) {
+	prefix := []byte("{\"an\":\"earlier document\"}\n")
+	var scratch []byte
+	for _, in := range codecInputs(t) {
+		want := encode(t, in.r)
+		got, err := AppendResult(bytes.Clone(prefix), in.r)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: AppendResult onto a %d-byte prefix = %d bytes, want the prefix then EncodeResult's %d",
+				in.name, len(prefix), len(got), len(want))
+		}
+		if scratch, err = AppendResult(scratch[:0], in.r); err != nil || !bytes.Equal(scratch, want) {
+			t.Errorf("%s: AppendResult into a reused buffer = %d bytes (%v), want EncodeResult's %d",
+				in.name, len(scratch), err, len(want))
+		}
+	}
+	bad := goldenResult()
+	bad.Config.StormPPS = math.NaN()
+	got, err := AppendResult(prefix, bad)
+	if err == nil || !bytes.Equal(got, prefix) || cap(got) != cap(prefix) {
+		t.Fatalf("NaN result: AppendResult = %q (cap %d, %v), want the prefix unchanged and an error", got, cap(got), err)
+	}
+}
+
 // TestResultDecodeRejectsNonCanonical: the decoder accepts only what the
 // encoder writes. A document encoding/json would accept but the encoder
 // never writes fails, so a hand-edited checkpoint is a miss.
@@ -523,8 +553,10 @@ func TestResultDecodeRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResult: the decoder never panics, and any input it accepts
-// re-encodes to exactly itself (without the optional trailing newline).
+// FuzzDecodeResult: the decoder never panics, any input it accepts
+// re-encodes to exactly itself (without the optional trailing newline),
+// and ParseResult over the same bytes makes the same decision and the same
+// result.
 func FuzzDecodeResult(f *testing.F) {
 	for _, in := range codecInputs(f) {
 		data := encode(f, in.r)
@@ -536,12 +568,19 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeResult(bytes.NewReader(data))
+		parsed, perr := ParseResult(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("DecodeResult error %v, ParseResult error %v: want the same decision", err, perr)
+		}
 		if err != nil {
 			return
 		}
 		again := encode(t, r)
 		if trim := []byte("\n"); !bytes.Equal(bytes.TrimSuffix(again, trim), bytes.TrimSuffix(data, trim)) {
 			t.Fatalf("accepted non-canonical input\n in  %q\n out %q", data, again)
+		}
+		if parsedAgain := encode(t, parsed); !bytes.Equal(parsedAgain, again) {
+			t.Fatalf("ParseResult re-encodes to %q, DecodeResult to %q", parsedAgain, again)
 		}
 	})
 }

@@ -3,10 +3,10 @@ package hw
 import "wdmlat/internal/sim"
 
 // NIC models the EtherExpress Pro 100 of the test system: received packets
-// accumulate in a ring, a FIFO of each packet's size and arrival time that
-// drops what arrives while it is full, and the card asserts its interrupt
-// line under a configurable interrupt-moderation mode. The web-browsing
-// workload delivers download bursts through it (§3.1.3); the interrupt-storm
+// accumulate in a ring, a FIFO of their arrival instants that drops what
+// arrives while it is full, and the card asserts its interrupt line under
+// a configurable interrupt-moderation mode. The web-browsing workload
+// delivers download bursts through it (§3.1.3); the interrupt-storm
 // frontier drives it with a sustained packet stream and sweeps the
 // moderation axis.
 //
@@ -31,11 +31,10 @@ type NIC struct {
 	// LAN was 100 Mbit to over-stress the system).
 	InterPacketGap sim.Cycles
 
-	// ring holds at most ringCap packets, so its backing stays bounded
-	// however long a storm keeps it from emptying. sizes and waits are the
-	// recycled storage Drain and DrainTimed return.
-	ring      sim.Queue[rxPacket]
-	sizes     []int
+	// ring holds the arrival instant of at most ringCap packets, so its
+	// backing stays bounded however long a storm keeps it from emptying.
+	// waits is the recycled storage DrainTimed returns.
+	ring      sim.Queue[sim.Time]
 	waits     []sim.Cycles
 	delivered uint64
 	dropped   uint64
@@ -53,12 +52,6 @@ type NIC struct {
 	asserts      uint64
 	throttle     *sim.Event
 	throttleFn   func(sim.Time)
-}
-
-// rxPacket is one received packet waiting in the ring.
-type rxPacket struct {
-	bytes int
-	at    sim.Time // arrival
 }
 
 // Moderation selects the card's interrupt-moderation strategy.
@@ -142,36 +135,37 @@ func (n *NIC) Gap() sim.Cycles { return n.gap }
 
 // DeliverBurst schedules n packets of the given size arriving back to back
 // starting now. Each arrival raises the interrupt line if it is not already
-// raised.
+// raised. The card keeps no packet's size: nothing the driver does depends
+// on it, so it is only checked to be positive.
 func (n *NIC) DeliverBurst(packets, bytes int) {
 	if packets <= 0 || bytes <= 0 {
 		panic("hw: invalid NIC burst")
 	}
-	// One arrival closure serves the whole burst: every packet in a burst
-	// has the same size, and allocating per packet dominated the machine's
-	// steady-state garbage.
-	rx := func(sim.Time) { n.receive(bytes) }
+	// One arrival closure serves the whole burst: allocating per packet
+	// dominated the machine's steady-state garbage.
+	rx := func(sim.Time) { n.receive() }
 	for i := 0; i < packets; i++ {
 		delay := sim.Cycles(i) * n.InterPacketGap
 		n.eng.After(delay, rx)
 	}
 }
 
-// Deliver receives one packet now. The interrupt-storm workload schedules
-// its own arrival process and feeds packets in one at a time.
+// Deliver receives one packet of the given size now. The interrupt-storm
+// workload schedules its own arrival process and feeds packets in one at a
+// time.
 func (n *NIC) Deliver(bytes int) {
 	if bytes <= 0 {
 		panic("hw: invalid NIC packet")
 	}
-	n.receive(bytes)
+	n.receive()
 }
 
-func (n *NIC) receive(bytes int) {
+func (n *NIC) receive() {
 	if n.ring.Len() >= n.ringCap {
 		n.dropped++
 		return
 	}
-	n.ring.PushBack(rxPacket{bytes: bytes, at: n.eng.Now()})
+	n.ring.PushBack(n.eng.Now())
 	n.sinceAssert++
 	if !n.raised {
 		n.tryAssert()
@@ -227,42 +221,40 @@ func (n *NIC) adapt() {
 }
 
 // Drain removes up to max packets from the ring (the driver ISR/DPC calls
-// this), returning their sizes. When the ring empties the line deasserts;
-// if packets remain the card re-asserts (subject to moderation) so the
-// driver takes another pass. The returned slice is recycled storage, valid
-// only until the next drain.
-func (n *NIC) Drain(max int) []int {
-	pkts, _ := n.drain(max, false)
-	return pkts
+// this) and returns how many it removed. When the ring empties the line
+// deasserts; if packets remain the card re-asserts (subject to moderation)
+// so the driver takes another pass.
+func (n *NIC) Drain(max int) int {
+	count, _ := n.drain(max, false)
+	return count
 }
 
-// DrainTimed is Drain, additionally reporting each drained packet's
-// queueing delay (arrival to drain — the latency cost of interrupt
-// moderation). The waits slice is recycled storage exactly like the packet
-// slice.
-func (n *NIC) DrainTimed(max int) ([]int, []sim.Cycles) {
-	return n.drain(max, true)
+// DrainTimed is Drain, returning each drained packet's queueing delay
+// (arrival to drain — the latency cost of interrupt moderation); the count
+// is the slice's length. The slice is recycled storage, valid only until
+// the next drain.
+func (n *NIC) DrainTimed(max int) []sim.Cycles {
+	_, waits := n.drain(max, true)
+	return waits
 }
 
-func (n *NIC) drain(max int, timed bool) ([]int, []sim.Cycles) {
+func (n *NIC) drain(max int, timed bool) (int, []sim.Cycles) {
 	avail := n.ring.Len()
 	if max <= 0 || avail == 0 {
 		n.raised = avail > 0
-		return nil, nil
+		return 0, nil
 	}
 	if max > avail {
 		max = avail
 	}
-	sizes, waits := n.sizes[:0], n.waits[:0]
-	now := n.eng.Now()
+	waits, now := n.waits[:0], n.eng.Now()
 	for i := 0; i < max; i++ {
-		p := n.ring.PopFront()
-		sizes = append(sizes, p.bytes)
+		at := n.ring.PopFront()
 		if timed {
-			waits = append(waits, now.Sub(p.at))
+			waits = append(waits, now.Sub(at))
 		}
 	}
-	n.sizes, n.waits = sizes, waits
+	n.waits = waits
 	n.delivered += uint64(max)
 	if n.ring.Len() > 0 {
 		// More work: model a level-triggered line by re-asserting.
@@ -270,10 +262,7 @@ func (n *NIC) drain(max int, timed bool) ([]int, []sim.Cycles) {
 	} else {
 		n.raised = false
 	}
-	if !timed {
-		waits = nil
-	}
-	return sizes, waits
+	return max, waits
 }
 
 // Pending returns the number of packets in the ring.

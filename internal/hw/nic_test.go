@@ -21,12 +21,11 @@ func TestNICSustainedStormKeepsBackingBounded(t *testing.T) {
 	var drained int
 	var poll func(sim.Time)
 	poll = func(sim.Time) {
-		if got := n.Drain(1); len(got) == 1 {
-			drained++
-			if got[0] != 1500 {
-				t.Fatalf("drained packet size %d, want 1500", got[0])
-			}
+		got := n.Drain(1)
+		if got > 1 {
+			t.Fatalf("Drain(1) removed %d packets", got)
 		}
+		drained += got
 		eng.After(25, poll)
 	}
 	eng.After(25, poll)
@@ -49,13 +48,20 @@ func TestNICSustainedStormKeepsBackingBounded(t *testing.T) {
 		t.Fatal("a storm faster than the drain rate must overflow the ring")
 	}
 
-	// Drain the remainder: the packets still in the ring must all be
-	// intact.
+	// Drain the remainder: the packets still in the ring arrived on the
+	// wire's 10-cycle grid before t=1000, and leave oldest first.
+	last := sim.Cycles(1000)
 	for n.Pending() > 0 {
-		for _, b := range n.Drain(4) {
-			if b != 1500 {
-				t.Fatalf("post-storm drain saw size %d, want 1500", b)
+		want := min(4, n.Pending())
+		waits := n.DrainTimed(4)
+		if len(waits) != want {
+			t.Fatalf("post-storm drain removed %d packets, want %d", len(waits), want)
+		}
+		for _, w := range waits {
+			if w < 10 || w > last || w%10 != 0 {
+				t.Fatalf("post-storm drain saw wait %d after %d, want a multiple of 10 in [10, %d]", w, last, last)
 			}
+			last = w
 			drained++
 		}
 	}
@@ -145,12 +151,15 @@ func TestNICDrainTimedReportsQueueingDelay(t *testing.T) {
 	eng.After(100, func(sim.Time) { n.Deliver(1500) })
 	eng.After(300, func(sim.Time) { n.Deliver(1500) })
 	eng.RunUntil(500)
-	pkts, waits := n.DrainTimed(10)
-	if len(pkts) != 2 || len(waits) != 2 {
-		t.Fatalf("drained %d pkts / %d waits, want 2/2", len(pkts), len(waits))
-	}
-	if waits[0] != 400 || waits[1] != 200 {
+	waits := n.DrainTimed(10)
+	if len(waits) != 2 || waits[0] != 400 || waits[1] != 200 {
 		t.Fatalf("waits = %v, want [400 200]", waits)
+	}
+	if n.Delivered() != 2 || n.Pending() != 0 {
+		t.Fatalf("delivered %d, pending %d after the drain, want 2 and 0", n.Delivered(), n.Pending())
+	}
+	if again := n.DrainTimed(10); len(again) != 0 {
+		t.Fatalf("drain of an empty ring returned waits %v", again)
 	}
 }
 

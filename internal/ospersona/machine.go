@@ -218,15 +218,14 @@ func (m *Machine) buildNIC() {
 		if m.nicLat != nil {
 			// Storm accounting: record each packet's queueing delay and
 			// charge the per-OS indication cost.
-			pkts, waits := m.NIC.DrainTimed(32)
+			waits := m.NIC.DrainTimed(32)
 			for _, w := range waits {
 				m.nicLat.Add(w)
 			}
-			c.Charge(sim.Cycles(len(pkts)) * m.Profile.NicIndicate)
+			c.Charge(sim.Cycles(len(waits)) * m.Profile.NicIndicate)
 			return
 		}
-		pkts := m.NIC.Drain(32)
-		c.Charge(sim.Cycles(len(pkts)) * us(6)) // per-packet indication cost
+		c.Charge(sim.Cycles(m.NIC.Drain(32)) * us(6)) // per-packet indication cost
 	})
 }
 

@@ -343,9 +343,9 @@ func (co *Coordinator) Complete(workerID string, req api.CompleteRequest) (Compl
 }
 
 // decodeCanonical decodes a completion payload that must be exactly the
-// canonical wire form: the core.EncodeResult document without its trailing
-// newline (the form api.EncodeCellResult produces). core.DecodeResult
-// accepts only EncodeResult's bytes, with or without that one newline
+// canonical wire form: the core.AppendResult document without its trailing
+// newline (the form api.EncodeCellResult produces). core.ParseResult
+// accepts only AppendResult's bytes, with or without that one newline
 // (FuzzDecodeResult pins this), so refusing the newline here is all the
 // check needs: any other padding, whitespace included, fails the decode.
 // A merged cell is therefore exactly one byte sequence per fingerprint,
@@ -354,7 +354,7 @@ func decodeCanonical(payload []byte) (*core.Result, error) {
 	if bytes.HasSuffix(payload, []byte("\n")) {
 		return nil, errors.New("payload is not the canonical result encoding")
 	}
-	return core.DecodeResult(bytes.NewReader(payload))
+	return core.ParseResult(payload)
 }
 
 func short(fp string) string {

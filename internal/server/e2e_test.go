@@ -212,3 +212,35 @@ func TestConcurrentDuplicateSubmissionsExecuteOnce(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricDeduped, ded, submitters-1)
 	}
 }
+
+// TestFinishedResultKeptAtExactSize: a finished campaign's answer, which
+// the server keeps for its lifetime, is held at its exact length rather
+// than in the buffer the stream grew by doubling, and it is the bytes a
+// local run of the same campaign writes.
+func TestFinishedResultKeptAtExactSize(t *testing.T) {
+	spec := specN(29, 37)
+	srv := New(Options{Jobs: 2, Execute: fakeResult})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := decodeStatus(t, postSpec(t, ts, spec)).ID
+	waitState(t, ts, id, api.StateDone)
+
+	srv.mu.Lock()
+	j := srv.jobs[id]
+	srv.mu.Unlock()
+	j.mu.Lock()
+	result := j.result
+	j.mu.Unlock()
+	if cap(result) != len(result) {
+		t.Errorf("finished result holds %d bytes in a %d-byte slice, want its exact size", len(result), cap(result))
+	}
+	cells := make([]campaign.Cell, len(spec.Cells))
+	for i, c := range spec.Cells {
+		cells[i] = campaign.Cell{Key: c.Key, Config: c.Config}
+	}
+	exec := func(_ string, cfg core.RunConfig) (*core.Result, error) { return fakeResult(cfg), nil }
+	if want := campaignBytes(t, cells, spec.Seed(), 1, exec); !bytes.Equal(result, want) {
+		t.Errorf("finished result is %d bytes, want the local run's %d", len(result), len(want))
+	}
+}

@@ -420,7 +420,11 @@ func (s *Server) runJob(j *job) {
 		j.mu.Lock()
 		j.cached = executed.Load() == 0
 		j.mu.Unlock()
-		s.finishJob(j, api.StateDone, buf.Bytes(), "")
+		// The answer is kept for the server's lifetime, so keep it at its
+		// exact length, not in the buffer Stream grew by doubling.
+		result := make([]byte, buf.Len())
+		copy(result, buf.Bytes())
+		s.finishJob(j, api.StateDone, result, "")
 	}
 }
 
